@@ -22,8 +22,9 @@ needs:
 * :mod:`repro.datasets` — synthetic Table 1 dataset pairs
 * :mod:`repro.evaluation` — precision/recall/F tracking
 * :mod:`repro.experiments` — one function per paper table/figure
-* :mod:`repro.obs` — counters, histograms, timers, spans (``repro stats``)
-  and structured event tracing (:mod:`repro.obs.trace`, ``repro trace``)
+* :mod:`repro.obs` — counters, gauges, histograms, timed regions
+  (``repro stats``) and structured event tracing (:mod:`repro.obs.trace`,
+  ``repro trace``)
 """
 
 from repro import obs
@@ -41,7 +42,7 @@ from repro.datasets import load_pair
 from repro.errors import DataValidationError, QueryAnalysisError, ReproError
 from repro.evaluation import QualityTracker, evaluate_links, quality_curve_table
 from repro.features import FeatureSpace, build_partitioned_spaces
-from repro.federation import Endpoint, FederatedEngine, FederatedExecutor
+from repro.federation import Endpoint, FederatedEngine
 from repro.feedback import (
     FeedbackSession,
     GroundTruthOracle,
@@ -72,7 +73,7 @@ from repro.sparql import (
     prepare,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AlexConfig",
@@ -83,7 +84,6 @@ __all__ = [
     "Endpoint",
     "FeatureSpace",
     "FederatedEngine",
-    "FederatedExecutor",
     "FeedbackSession",
     "Graph",
     "GroundTruthOracle",

@@ -94,14 +94,14 @@ def _cache_hit_rate(snapshot: dict) -> float | None:
 
 
 def _histogram_sum(snapshot: dict, name: str) -> float:
-    """Total seconds recorded under one timer name (all label variants)."""
+    """Total seconds recorded under one region name (all label variants)."""
     return sum(h["sum"] for h in snapshot.get("histograms", ()) if h["name"] == name)
 
 
 def _phase_breakdown(snapshot: dict) -> dict[str, float]:
     """Per-phase wall seconds of one build: ship (encode + decode both
     directions), score (blocking + scoring), merge (delta decode + union +
-    freeze). Worker-side timers merge into the same names via the returned
+    freeze). Worker-side regions merge into the same names via the returned
     obs snapshots, so the breakdown spans both sides of the pool."""
     return {
         "ship": round(_histogram_sum(snapshot, "space.build.ship"), 6),

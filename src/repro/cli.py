@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace-sample", type=float, default=1.0,
-        help="head-based sampling rate for --trace-out traces (default 1.0)",
+        help="fraction of episode traces --trace-out keeps, each one whole "
+        "(default 1.0)",
     )
 
     stats = subparsers.add_parser(

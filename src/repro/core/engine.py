@@ -279,7 +279,7 @@ class AlexEngine:
         feature_set = self.space.feature_set(state)
         if feature_set is None or not feature_set:
             return []
-        with obs.span("explore"):
+        with obs.region("alex.episode.explore"):
             actions = available_actions(feature_set)
             if self.config.use_distinctiveness:
                 # Cross-state lesson (Section 4.2): never explore around a
@@ -289,19 +289,6 @@ class AlexEngine:
             self._episode.record_action(state)
             center = feature_set[action]
             state_action = StateAction(state, action)
-            tracer = trace.active()
-            feature_label = f"{action[0]} {action[1]}"
-            if tracer is not None:
-                tracer.event(
-                    "alex.feature.select",
-                    state=str(state),
-                    feature=feature_label,
-                    mode=mode,
-                    q={
-                        f"{a[0]} {a[1]}": self.values.q(StateAction(state, a))
-                        for a in actions
-                    },
-                )
             discovered: list[Link] = []
             for candidate in self.space.explore(action, center, self.config.step_size):
                 if candidate in self.blacklist or candidate in self.candidates:
@@ -309,17 +296,35 @@ class AlexEngine:
                 self.candidates.add(candidate)
                 self.ledger.record(state_action, candidate)
                 discovered.append(candidate)
-                if tracer is not None:
-                    tracer.event(
-                        "alex.link.discover",
-                        link=str(candidate),
-                        state=str(state),
-                        feature=feature_label,
-                        mode=mode,
-                    )
-            self._episode.stats.links_discovered += len(discovered)
-            if discovered:
-                obs.inc("alex.links.discovered", len(discovered))
+        self._episode.stats.links_discovered += len(discovered)
+        if discovered:
+            obs.inc("alex.links.discovered", len(discovered))
+        tracer = trace.active()
+        if tracer is not None:
+            # Emitted after the region closes, like approve/reject: under
+            # the session's episode span, or trace-less for an engine driven
+            # without a session. Inside the explore span they would share
+            # its sampling decision, and an unsampled explore step would
+            # drop the audit of the links it discovered.
+            feature_label = f"{action[0]} {action[1]}"
+            tracer.event(
+                "alex.feature.select",
+                state=str(state),
+                feature=feature_label,
+                mode=mode,
+                q={
+                    f"{a[0]} {a[1]}": self.values.q(StateAction(state, a))
+                    for a in actions
+                },
+            )
+            for candidate in discovered:
+                tracer.event(
+                    "alex.link.discover",
+                    link=str(candidate),
+                    state=str(state),
+                    feature=feature_label,
+                    mode=mode,
+                )
         return discovered
 
     def _choose_action(self, state: Link, actions: list) -> "FeatureKey":

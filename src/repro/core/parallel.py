@@ -25,6 +25,21 @@ from repro.features.space import FeatureSpace
 from repro.links import Link, LinkSet
 
 
+def route(spaces: Sequence[FeatureSpace], link: Link) -> int:
+    """The index of the partition owning ``link``: the first space that
+    contains it, else a crc32 hash of its left entity.
+
+    Links outside every filtered space (possible for initial candidates and
+    ground-truth links) still need an owner for removal bookkeeping. Both
+    partition runners route with this rule — :class:`PartitionedAlex` and
+    :func:`~repro.core.parallel_mp.run_partitions_parallel`.
+    """
+    for index, space in enumerate(spaces):
+        if link in space:
+            return index
+    return zlib.crc32(link.left.value.encode()) % len(spaces)
+
+
 class PartitionedAlex:
     """A federation of per-partition ALEX engines."""
 
@@ -36,12 +51,12 @@ class PartitionedAlex:
     ):
         if not spaces:
             raise ConfigError("PartitionedAlex needs at least one space")
-        links = list(initial_links)
         self.config = config
+        self._spaces = tuple(spaces)
         self.engines: list[AlexEngine] = []
         routed: list[list[Link]] = [[] for _ in spaces]
-        for link in links:
-            routed[self._space_index_for(spaces, link)].append(link)
+        for link in initial_links:
+            routed[route(spaces, link)].append(link)
         for index, (space, partition_links) in enumerate(zip(spaces, routed)):
             self.engines.append(
                 AlexEngine(
@@ -54,15 +69,6 @@ class PartitionedAlex:
                 )
             )
 
-    @staticmethod
-    def _space_index_for(spaces: Sequence[FeatureSpace], link: Link) -> int:
-        for index, space in enumerate(spaces):
-            if link in space:
-                return index
-        # Links outside every filtered space (possible for initial candidates)
-        # still need an owner for removal bookkeeping.
-        return zlib.crc32(link.left.value.encode()) % len(spaces)
-
     # ------------------------------------------------------------------ #
     # Engine-compatible interface
     # ------------------------------------------------------------------ #
@@ -71,13 +77,7 @@ class PartitionedAlex:
         return any(engine.owns(link) for engine in self.engines)
 
     def engine_for(self, link: Link) -> AlexEngine:
-        for engine in self.engines:
-            if link in engine.candidates:
-                return engine
-        for engine in self.engines:
-            if link in engine.space:
-                return engine
-        return self.engines[zlib.crc32(link.left.value.encode()) % len(self.engines)]
+        return self.engines[route(self._spaces, link)]
 
     def process_feedback(self, link: Link, positive: bool) -> list[Link]:
         return self.engine_for(link).process_feedback(link, positive)

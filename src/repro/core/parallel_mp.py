@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
+from repro.core.parallel import route
 from repro.core.workers import WorkerPool, shared_pool
 from repro.errors import ConfigError
 from repro.features.feature_set import DEFAULT_THETA
@@ -126,18 +126,18 @@ def _score_space_partition(
 
     Returns ``(delta_blob, obs_snapshot, wall_seconds, pairs_admitted)``.
     Runs under an isolated obs registry (same pattern as feedback
-    partitions) so the worker's phase timers and cache counters travel back
+    partitions) so the worker's phase regions and cache counters travel back
     in the snapshot and merge into the parent registry.
     """
     started = time.monotonic()
     with obs.use_registry(obs.Registry(name)) as registry:
-        with obs.timer("space.build.ship"):
+        with obs.region("space.build.ship"):
             left_chunk = _decode_entities_cached(left_blob)
             right_entities = _decode_entities_cached(right_blob)
         space = FeatureSpace._build_single_process(
             left_chunk, right_entities, theta, use_blocking, fast, freeze=False
         )
-        with obs.timer("space.build.ship"):
+        with obs.region("space.build.ship"):
             delta = encode_space_delta(space)
         return delta, registry.snapshot(), time.monotonic() - started, space.size
 
@@ -160,7 +160,7 @@ def build_space_parallel(
     space is identical (links, scores, ``total_pairs_considered``) to a
     single-process build: blocking depends only on the right side, and the
     merge deduplicates by link. Worker obs snapshots (``space.build.*``
-    phase timers, ``similarity.cache.*`` counters) merge into the caller's
+    phase regions, ``similarity.cache.*`` counters) merge into the caller's
     registry, mirroring :func:`run_partitions_parallel`.
 
     ``workers`` controls the number of partitions; the pool itself sizes to
@@ -178,7 +178,7 @@ def build_space_parallel(
     if not chunks:
         chunks = [[]]
 
-    with obs.timer("space.build.ship"):
+    with obs.region("space.build.ship"):
         right_blob = encode_entities(right_entities)
         jobs = [
             (
@@ -202,7 +202,7 @@ def build_space_parallel(
             pool = shared_pool(workers)
         results = pool.run_tasks(_score_space_partition, jobs, label="space-build")
 
-    with obs.timer("space.build.merge"):
+    with obs.region("space.build.merge"):
         spaces = []
         for index, (delta, snapshot, wall_seconds, admitted) in enumerate(results):
             space = decode_space_delta(delta)
@@ -258,7 +258,7 @@ def _run_partition(
         if trace_config is not None:
             capacity, sample, seed = trace_config
             trace.install(capacity=capacity, sample=sample, seed=seed)
-        with obs.timer("space.build.ship"):
+        with obs.region("space.build.ship"):
             space = decode_space_delta(space_blob)
             space.freeze()
         engine = AlexEngine(space, LinkSet(initial_links), config, name=name)
@@ -293,30 +293,24 @@ def run_partitions_parallel(
     """Run every partition in its own process and merge the results.
 
     Returns the union of all partitions' final candidate links plus the
-    per-partition outcomes. Links outside every partition's space are routed
-    by a hash of the left entity (same rule as
-    :class:`~repro.core.parallel.PartitionedAlex`). Partition work runs on
+    per-partition outcomes. Links are routed to partitions by
+    :func:`~repro.core.parallel.route`, the rule
+    :class:`~repro.core.parallel.PartitionedAlex` uses. Partition work runs on
     the persistent worker pool (``pool=None`` uses the process-shared one),
     so consecutive runs reuse the same worker processes.
     """
     if not spaces:
         raise ConfigError("run_partitions_parallel needs at least one space")
 
-    def route(link: Link) -> int:
-        for index, space in enumerate(spaces):
-            if link in space:
-                return index
-        return zlib.crc32(link.left.value.encode()) % len(spaces)
-
     initial_per_partition: list[set[Link]] = [set() for _ in spaces]
     for link in initial_links:
-        initial_per_partition[route(link)].add(link)
+        initial_per_partition[route(spaces, link)].add(link)
     truth_per_partition: list[set[Link]] = [set() for _ in spaces]
     for link in ground_truth:
-        truth_per_partition[route(link)].add(link)
+        truth_per_partition[route(spaces, link)].add(link)
 
     parent_tracer = trace.active()
-    with obs.timer("space.build.ship"):
+    with obs.region("space.build.ship"):
         space_blobs = [encode_space_delta(space) for space in spaces]
         obs.inc("pool.bytes.shipped", sum(len(blob) for blob in space_blobs))
     jobs = [
@@ -354,7 +348,7 @@ def run_partitions_parallel(
         for link in outcome.candidates:
             merged.add(link)
         if outcome.obs_snapshot is not None:
-            # one whole-run snapshot: counters/histograms/spans sum across
+            # one whole-run snapshot: counters/histograms sum across
             # partitions (gauges are last-write-wins — label per-partition
             # breakdowns yourself if you need them)
             obs.merge(outcome.obs_snapshot)

@@ -12,15 +12,12 @@ the saved state.
 The stable public surface lives on :class:`~repro.core.engine.AlexEngine`:
 ``engine.to_dict()`` / ``AlexEngine.from_dict(space, state)`` /
 ``engine.save(path)`` / ``AlexEngine.load(space, path)``, which delegate to
-this module's ``engine_*`` functions. The historical four-function surface
-(:func:`dump_engine`, :func:`load_engine`, :func:`save_engine_file`,
-:func:`load_engine_file`) survives as deprecation shims.
+this module's ``engine_*`` functions.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
@@ -187,40 +184,3 @@ def engine_load(space: FeatureSpace, path: str) -> AlexEngine:
     """Read engine state from a JSON file."""
     with open(path, encoding="utf-8") as handle:
         return engine_from_dict(space, json.load(handle))
-
-
-# --------------------------------------------------------------------- #
-# Deprecated four-function surface (pre-1.1); use the AlexEngine methods.
-# --------------------------------------------------------------------- #
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def dump_engine(engine: AlexEngine) -> dict:
-    """Deprecated alias of :meth:`AlexEngine.to_dict`."""
-    _deprecated("dump_engine()", "AlexEngine.to_dict()")
-    return engine_to_dict(engine)
-
-
-def load_engine(space: FeatureSpace, state: dict) -> AlexEngine:
-    """Deprecated alias of :meth:`AlexEngine.from_dict`."""
-    _deprecated("load_engine()", "AlexEngine.from_dict(space, state)")
-    return engine_from_dict(space, state)
-
-
-def save_engine_file(engine: AlexEngine, path: str) -> None:
-    """Deprecated alias of :meth:`AlexEngine.save`."""
-    _deprecated("save_engine_file()", "AlexEngine.save(path)")
-    engine_save(engine, path)
-
-
-def load_engine_file(space: FeatureSpace, path: str) -> AlexEngine:
-    """Deprecated alias of :meth:`AlexEngine.load`."""
-    _deprecated("load_engine_file()", "AlexEngine.load(space, path)")
-    return engine_load(space, path)

@@ -119,17 +119,21 @@ class WorkerPool:
             }
 
     def worker_pids(self) -> frozenset[int]:
-        """The PIDs of the current worker processes, probed with real tasks.
+        """The PIDs of the executor's live worker processes.
 
-        Spawns the executor if needed. One probe per worker slot; with a
-        warm pool no new process is created — the frozenset is stable
-        across consecutive batches, which is what the pool-reuse tests
-        assert.
+        Spawns the executor if needed and waits for one probe task per
+        worker slot, so the workers exist. The PIDs come from the executor's
+        process table, not from the probes' answers (one fast worker may
+        answer every probe); with a warm pool no new process is created and
+        the frozenset is stable across consecutive batches, which is what
+        the pool-reuse tests assert.
         """
         executor = self._ensure_executor()
         futures = [executor.submit(os.getpid) for _ in range(self.size)]
         try:
-            pids = frozenset(future.result() for future in futures)
+            for future in futures:
+                future.result()
+            pids = frozenset(executor._processes)
         finally:
             self._touch()
         return pids

@@ -12,7 +12,6 @@ process: figures share datasets, and rebuilding a space costs seconds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from repro import obs
@@ -186,10 +185,12 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
         engine, oracle, seed=spec.feedback_seed, on_episode_end=tracker.on_episode_end
     )
 
-    started = time.perf_counter()
-    with obs.span("scenario"):
-        episodes = session.run(episode_size=spec.episode_size, max_episodes=spec.max_episodes)
-    elapsed = time.perf_counter() - started
+    episodes = session.run(episode_size=spec.episode_size, max_episodes=spec.max_episodes)
+    # The sum of the episode regions, observed rather than timed again: a
+    # region here would root one trace over every episode, defeating
+    # per-episode sampling.
+    elapsed = session.elapsed_seconds
+    obs.observe("experiments.scenario.run", elapsed)
     obs.inc("experiments.scenarios.run", scenario=spec.key)
 
     final_candidates = engine.candidates

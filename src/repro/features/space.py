@@ -107,7 +107,7 @@ class FeatureSpace:
     ) -> "FeatureSpace":
         space = cls(theta)
         if use_blocking:
-            with obs.timer("space.build.block"):
+            with obs.region("space.build.block"):
                 token_map: dict[Entity, set[str]] = {}
                 pairs: Iterable[tuple[Entity, Entity]] = list(
                     blocked_pairs(left_entities, right_entities, token_map=token_map)
@@ -116,7 +116,7 @@ class FeatureSpace:
             # the cross product stays lazy — materializing it would cost
             # O(|D1|·|D2|) memory just to attribute ~zero time to blocking
             pairs = ((l, r) for l in left_entities for r in right_entities)
-        with obs.timer("space.build.score"):
+        with obs.region("space.build.score"):
             if fast:
                 prepared: dict[Entity, PreparedEntity] = {}
                 for left_entity, right_entity in pairs:
@@ -135,7 +135,7 @@ class FeatureSpace:
                     space.add_pair(left_entity, right_entity)
         space._total_pairs_considered = len(left_entities) * len(right_entities)
         if freeze:
-            with obs.timer("space.build.freeze"):
+            with obs.region("space.build.freeze"):
                 space.freeze()
         # freeze=False: a pool worker building one partition delta — the
         # parent freezes the merged space once, so sorting here is waste

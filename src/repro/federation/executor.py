@@ -23,7 +23,7 @@ import time
 from typing import Iterable
 
 from repro import obs
-from repro.obs import accounting, slowlog, trace
+from repro.obs import accounting, slowlog
 from repro.errors import FederationError
 from repro.federation.endpoint import Endpoint
 from repro.federation.provenance import FederatedResult, ProvenancedSolution
@@ -104,36 +104,32 @@ class FederatedEngine:
     def execute(self, query: SelectQuery) -> FederatedResult:
         """Execute a parsed SELECT query across the federation.
 
-        When a tracer is installed the execution runs inside a
-        ``federation.query.execute`` span; the span's trace id is stamped
-        onto the returned result and each of its rows, correlating the
+        The execution runs inside the ``federation.query.execute`` region.
+        When a tracer is installed, the region's trace id is stamped onto
+        the returned result and each of its rows, correlating the
         executor → endpoint → engine event chain.
         """
         obs.inc("federation.queries")
         slog = slowlog.active()
         stats = None
         requests_before = bytes_before = 0.0
-        started = 0.0
         if accounting.enabled() or slog is not None:
             stats = accounting.QueryStats("federated")
             stats.plan_cache_hit = accounting.consume_plan_cache_note()
             requests_before = sum(e.request_count for e in self.endpoints)
             bytes_before = obs.counter_total(obs.snapshot(), "pool.bytes.shipped")
-            started = time.perf_counter()
-        with obs.timer("federation.query.seconds"), trace.span(
-            "federation.query.execute", endpoints=len(self.endpoints)
-        ) as span:
+        with obs.region("federation.query.execute", endpoints=len(self.endpoints)) as region:
             if self.strict:
                 from repro.sparql.analysis import check_query
 
                 check_query(query, endpoints=self.endpoints)
             result = self._execute(query, stats=stats)
-            if span.trace_id is not None:
-                result.trace_id = span.trace_id
+            if region.trace_id is not None:
+                result.trace_id = region.trace_id
                 for row in result.rows:
-                    row.trace_id = span.trace_id
+                    row.trace_id = region.trace_id
         if stats is not None:
-            stats.wall_seconds = time.perf_counter() - started
+            stats.wall_seconds = region.elapsed
             stats.rows_out = len(result)
             stats.endpoint_requests = int(
                 sum(e.request_count for e in self.endpoints) - requests_before
@@ -570,10 +566,6 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
         ordered.append(best)
         known |= best.variables()
     return ordered
-
-
-#: Stable public alias — the facade exports the executor under this name.
-FederatedExecutor = FederatedEngine
 
 
 def _distinct(rows: list[ProvenancedSolution]) -> list[ProvenancedSolution]:

@@ -174,7 +174,7 @@ def fan_out_bound_join(
     version so repeated queries over an unchanged federation re-ship the
     same blob bytes without re-encoding.
     """
-    with obs.timer("federation.fanout.ship"):
+    with obs.region("federation.fanout.ship"):
         endpoint_blobs = []
         for endpoint in endpoints:
             version = endpoint.graph.version

@@ -16,11 +16,9 @@ per-link feedback (Section 3.2).
 from __future__ import annotations
 
 import random
-import time
 from typing import Callable, Protocol
 
 from repro import obs
-from repro.obs import trace
 from repro.core.engine import AlexEngine
 from repro.core.episode import EpisodeStats
 from repro.core.parallel import PartitionedAlex
@@ -62,12 +60,11 @@ class FeedbackSession:
         """Collect one episode of feedback, then improve the policy."""
         if episode_size < 1:
             raise ConfigError(f"episode_size must be >= 1, got {episode_size}")
-        started = time.perf_counter()
-        # The trace span groups every engine audit event of this episode
-        # under one trace id; a no-op handle when no tracer is installed.
-        with obs.span("episode"), trace.span(
+        # When tracing, the region's span groups every engine audit event
+        # of this episode under one trace id.
+        with obs.region(
             "alex.episode.run", index=self.engine.episodes_completed + 1
-        ):
+        ) as region:
             pool = self._candidate_pool()
             for _ in range(episode_size):
                 if not pool:
@@ -82,7 +79,7 @@ class FeedbackSession:
                     # positive feedback may have added links worth sampling.
                     pool = self._candidate_pool()
             stats = self.engine.end_episode()
-        self.elapsed_seconds += time.perf_counter() - started
+        self.elapsed_seconds += region.elapsed
         if self.on_episode_end is not None:
             self.on_episode_end(stats, self.engine.candidates)
         return stats

@@ -1,9 +1,9 @@
 """``repro.obs`` — dependency-free observability for the whole library.
 
 Instrumented code answers "where did the time and the feedback go?" with
-four instrument kinds (:class:`Counter`, :class:`Gauge`, :class:`Histogram`,
-:class:`Timer`) plus hierarchical :func:`span` timing, all collected in a
-:class:`Registry`.
+three instrument kinds (:class:`Counter`, :class:`Gauge`, :class:`Histogram`)
+collected in a :class:`Registry`, plus one timing primitive,
+:func:`region`.
 
 A process-global default registry backs the module-level helpers, so hot
 paths instrument themselves in one line with no plumbing::
@@ -11,10 +11,14 @@ paths instrument themselves in one line with no plumbing::
     from repro import obs
 
     obs.inc("alex.feedback.processed", verdict="positive")
-    with obs.span("explore"):
+    with obs.region("federation.query.execute", endpoints=2) as region:
         ...
-    with obs.timer("sparql.query.seconds"):
-        ...
+    region.elapsed   # wall seconds, also observed into the histogram
+
+A region always records its elapsed seconds into the latency histogram of
+the same name; only when a tracer is recording (:func:`trace.active`) does
+it also record a trace span with that name and its attributes. Nesting
+(an explore inside an episode) is therefore visible in traces only.
 
 Tests (and anything wanting isolation) swap the default atomically::
 
@@ -23,7 +27,7 @@ Tests (and anything wanting isolation) swap the default atomically::
         snap = registry.snapshot()      # only this workload's metrics
 
 Snapshots are versioned JSON dicts; :meth:`Registry.merge` folds worker
-snapshots into one whole-run view (counters/histograms/spans sum, gauges
+snapshots into one whole-run view (counters/histograms sum, gauges
 last-write-wins). ``obs.dump_json(path)`` / ``load_snapshot(path)`` round-
 trip them through files. Naming convention: dotted lowercase
 ``subsystem.noun.verb`` names (``alex.links.discovered``,
@@ -41,17 +45,15 @@ from repro.obs.instruments import (
     Counter,
     Gauge,
     Histogram,
-    Timer,
     quantile_from_buckets,
 )
 from repro.obs.registry import SNAPSHOT_VERSION, Registry, counter_total, load_snapshot
-from repro.obs.spans import Span, SpanAggregate
 from repro.obs import accounting, slowlog, trace
 from repro.obs.accounting import QueryStats
 from repro.obs.export import render_prometheus, validate_exposition
 from repro.obs.report import REPORT_SCHEMA, Reporter, load_report
 from repro.obs.slowlog import SLOWLOG_SCHEMA, SlowLog
-from repro.obs.trace import TRACE_SCHEMA, Tracer
+from repro.obs.trace import TRACE_SCHEMA, Region, Tracer
 
 __all__ = [
     "Counter",
@@ -61,16 +63,14 @@ __all__ = [
     "Histogram",
     "QueryStats",
     "REPORT_SCHEMA",
+    "Region",
     "Registry",
     "Reporter",
     "SLOWLOG_SCHEMA",
     "SNAPSHOT_QUANTILES",
     "SNAPSHOT_VERSION",
     "SlowLog",
-    "Span",
-    "SpanAggregate",
     "TRACE_SCHEMA",
-    "Timer",
     "Tracer",
     "accounting",
     "counter",
@@ -85,6 +85,7 @@ __all__ = [
     "merge",
     "observe",
     "quantile_from_buckets",
+    "region",
     "render",
     "render_prometheus",
     "reset",
@@ -92,8 +93,6 @@ __all__ = [
     "set_registry",
     "slowlog",
     "snapshot",
-    "span",
-    "timer",
     "trace",
     "use_registry",
     "validate_exposition",
@@ -161,14 +160,19 @@ def observe(name: str, value: float, **labels) -> None:
     _default_registry.histogram(name, **labels).observe(value)
 
 
-def timer(name: str, **labels) -> Timer:
-    """A ``with``-able timer over the latency histogram ``name``."""
-    return _default_registry.timer(name, **labels)
+def region(name: str, **attrs) -> Region:
+    """A ``with``-able timed region named ``name``.
 
-
-def span(name: str) -> Span:
-    """A ``with``-able hierarchical span named ``name``."""
-    return _default_registry.span(name)
+    Its elapsed seconds always land in the unlabelled latency histogram
+    ``name``; a trace span of the same name and ``attrs`` is recorded only
+    when :func:`trace.active` returns a tracer (one check, made here).
+    """
+    return Region(
+        _default_registry.histogram(name, DEFAULT_LATENCY_BOUNDARIES),
+        trace.active(),
+        name,
+        attrs,
+    )
 
 
 def snapshot() -> dict:

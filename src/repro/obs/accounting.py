@@ -10,10 +10,10 @@ result (``result.stats``). The slowlog (:mod:`repro.obs.slowlog`) stores
 the same breakdown with each slow entry.
 
 Contract: accounting is a pure listener. The executors take the exact
-same code paths with accounting on or off (an observing codec subclass
-counts decodes; the existing :class:`~repro.sparql.eval.EvalObserver`
-hook meters operators), so a seeded run produces byte-identical results
-either way — the tracing parity rule extended to accounting.
+same code paths with accounting on or off (a codec subclass counts
+decodes; the SPARQL executor appends per-operator records that
+:meth:`QueryStats.fold` sums), so a seeded run produces byte-identical
+results either way — the tracing parity rule extended to accounting.
 """
 
 from __future__ import annotations
@@ -126,6 +126,18 @@ class QueryStats:
         record["rows_in"] += rows_in
         record["rows_out"] += rows_out
         record["seconds"] += seconds
+
+    def fold(self, records: list) -> None:
+        """Sum the SPARQL executor's per-operator records (see
+        :mod:`repro.sparql.eval`) into phases, strategies and decodes."""
+        for op, _node, strategy, rows_in, rows_out, seconds in records:
+            if op == "pattern":
+                self.note_strategy(strategy, rows_in, rows_out, seconds)
+                self.note_phase("match", seconds)
+            elif op == "decode":
+                self.decodes += rows_out
+            else:
+                self.note_phase(op, seconds)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (slowlog detail, report tooling)."""

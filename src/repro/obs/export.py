@@ -7,8 +7,8 @@ exposition format:
 * dotted instrument names mangle to ``repro_``-prefixed underscore names
   (``sparql.plan_cache.hits`` → ``repro_sparql_plan_cache_hits_total``);
 * counters carry the ``_total`` suffix; gauges expose as-is; histograms
-  expose cumulative ``_bucket{le="..."}`` series plus ``_sum``/``_count``;
-  span aggregates expose as a pair of counters labelled by span path;
+  expose cumulative ``_bucket{le="..."}`` series plus ``_sum``/``_count``
+  (a timed region, :func:`repro.obs.region`, is one such histogram);
 * label keys are emitted in sorted order and label values escaped per the
   format (``\\``, ``"``, newline), so the rendering is byte-stable for a
   given snapshot.
@@ -161,26 +161,6 @@ def render_prometheus(snapshot: dict) -> str:
         family.samples.append(
             f"{family.name}_count{suffix_labels} {format_value(entry['count'])}"
         )
-
-    span_entries = snapshot.get("spans", ())
-    if span_entries:
-        count_family = _family(
-            families, "repro_span_total", "counter", "counter span completions by path"
-        )
-        seconds_family = _family(
-            families,
-            "repro_span_seconds_total",
-            "counter",
-            "counter span wall seconds by path",
-        )
-        for entry in span_entries:
-            labels = _format_labels({"path": entry["path"]})
-            count_family.samples.append(
-                f"repro_span_total{labels} {format_value(entry['count'])}"
-            )
-            seconds_family.samples.append(
-                f"repro_span_seconds_total{labels} {format_value(entry['total_seconds'])}"
-            )
 
     events = snapshot.get("events")
     if events is not None:

@@ -1,4 +1,4 @@
-"""Typed instruments: counters, gauges, histograms, and timers.
+"""Typed instruments: counters, gauges, and histograms.
 
 Instruments are dumb value holders — cheap enough for hot paths (an update
 is an attribute add, no locking, no allocation). All bookkeeping that costs
@@ -13,7 +13,6 @@ the same object for the same identity.
 from __future__ import annotations
 
 import bisect
-import time
 
 #: Labels as stored on an instrument: sorted, hashable.
 LabelPairs = tuple[tuple[str, str], ...]
@@ -180,10 +179,6 @@ class Histogram:
     def mean(self) -> float | None:
         return self.sum / self.count if self.count else None
 
-    def time(self) -> "Timer":
-        """A context manager observing elapsed wall seconds into ``self``."""
-        return Timer(self)
-
     def quantile(self, q: float) -> float | None:
         """The ``q``-quantile estimated from this histogram's buckets."""
         return quantile_from_buckets(
@@ -210,26 +205,3 @@ class Histogram:
 
     def __repr__(self):
         return f"<Histogram {self.name} {dict(self.labels)} n={self.count} sum={self.sum:.6g}>"
-
-
-class Timer:
-    """Context manager timing a block into a histogram (seconds).
-
-    The elapsed wall time of the last completed block is kept on
-    ``.elapsed`` for callers that also want the raw number.
-    """
-
-    __slots__ = ("histogram", "elapsed", "_started")
-
-    def __init__(self, histogram: Histogram):
-        self.histogram = histogram
-        self.elapsed: float | None = None
-        self._started: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = time.perf_counter() - self._started
-        self.histogram.observe(self.elapsed)

@@ -9,7 +9,7 @@ Snapshots are plain JSON-serializable dicts under a versioned schema
 processes snapshot their registries and the parent merges them
 (:meth:`Registry.merge`) into one whole-run view. Merge semantics:
 
-* counters and span aggregates **sum**;
+* counters **sum**;
 * histograms sum bucket-by-bucket (boundaries must match);
 * gauges are **last-write-wins** (a gauge is a level, not a flow).
 """
@@ -22,15 +22,12 @@ import threading
 from repro.errors import ObsError
 from repro.obs.instruments import (
     DEFAULT_BOUNDARIES,
-    DEFAULT_LATENCY_BOUNDARIES,
     SNAPSHOT_QUANTILES,
     Counter,
     Gauge,
     Histogram,
-    Timer,
     labels_to_pairs,
 )
-from repro.obs.spans import Span, SpanAggregate
 from repro.obs.trace import Tracer
 
 #: Version stamped into every snapshot; bump on schema changes.
@@ -38,7 +35,7 @@ SNAPSHOT_VERSION = 1
 
 
 class Registry:
-    """A namespace of typed instruments plus span aggregates.
+    """A namespace of typed instruments.
 
     A registry may additionally carry a :class:`~repro.obs.trace.Tracer`
     (``self.tracer``, installed via :func:`repro.obs.trace.install`); its
@@ -50,8 +47,6 @@ class Registry:
         self.name = name
         self._lock = threading.Lock()
         self._instruments: dict[tuple, Counter | Gauge | Histogram] = {}
-        self._spans: dict[str, SpanAggregate] = {}
-        self._local = threading.local()
         self.tracer: Tracer | None = None
 
     # ------------------------------------------------------------------ #
@@ -94,32 +89,6 @@ class Registry:
             boundaries=tuple(boundaries) if boundaries is not None else DEFAULT_BOUNDARIES,
         )
 
-    def timer(self, name: str, **labels) -> Timer:
-        """A fresh timing context over a latency histogram (seconds)."""
-        return self._get_or_create(
-            Histogram, name, labels, boundaries=DEFAULT_LATENCY_BOUNDARIES
-        ).time()
-
-    # ------------------------------------------------------------------ #
-    # Spans
-    # ------------------------------------------------------------------ #
-
-    def span(self, name: str) -> Span:
-        return Span(self, name)
-
-    def _span_stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _record_span(self, path: str, seconds: float, count: int = 1) -> None:
-        aggregate = self._spans.get(path)
-        if aggregate is None:
-            with self._lock:
-                aggregate = self._spans.setdefault(path, SpanAggregate(path))
-        aggregate.add(seconds, count)
-
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #
@@ -128,10 +97,9 @@ class Registry:
         """The registry's state as a JSON-serializable dict (see module doc)."""
         with self._lock:
             # Copy under the lock: a concurrent get-or-create must not grow
-            # the dicts mid-iteration, and the tracer slot is read once so a
+            # the dict mid-iteration, and the tracer slot is read once so a
             # racing uninstall() cannot null it between check and use.
             instruments = sorted(self._instruments.items())
-            aggregates = [self._spans[path] for path in sorted(self._spans)]
             tracer = self.tracer
         counters, gauges, histograms = [], [], []
         for (_, _), instrument in instruments:
@@ -144,7 +112,9 @@ class Registry:
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "spans": [aggregate.snapshot() for aggregate in aggregates],
+            # Schema v1 field, always empty: timed regions record into
+            # histograms (repro.obs.region), so no span aggregates exist.
+            "spans": [],
         }
         if tracer is not None and (len(tracer) or tracer.dropped):
             snapshot["events"] = tracer.payload()
@@ -186,8 +156,6 @@ class Registry:
                 histogram.max = (
                     entry["max"] if histogram.max is None else max(histogram.max, entry["max"])
                 )
-        for entry in snapshot.get("spans", ()):
-            self._record_span(entry["path"], entry["total_seconds"], entry["count"])
         events = snapshot.get("events")
         if events is not None:
             tracer = self.tracer
@@ -200,10 +168,9 @@ class Registry:
     def render(self, top: int | None = None) -> str:
         """Human-readable text dump (the body of ``repro stats``).
 
-        Span aggregates are sorted by total time **descending** so the hot
-        paths lead; ``top`` limits every section to its N largest entries
-        (counters/gauges by value, histograms by count, spans by total
-        time), noting how many entries were elided.
+        ``top`` limits every section to its N largest entries
+        (counters/gauges by value, histograms by count), noting how many
+        entries were elided.
         """
         if top is not None and top < 1:
             raise ObsError(f"render top must be >= 1, got {top}")
@@ -224,11 +191,6 @@ class Registry:
         counters = clip(snapshot["counters"], key=lambda e: (-e["value"], e["name"]))
         gauges = clip(snapshot["gauges"], key=lambda e: (-e["value"], e["name"]))
         histograms = clip(snapshot["histograms"], key=lambda e: (-e["count"], e["name"]))
-        spans = sorted(
-            snapshot["spans"], key=lambda e: (-e["total_seconds"], e["path"])
-        )
-        if top is not None:
-            spans = spans[:top]
 
         def elided(section: str, shown: list) -> str | None:
             hidden = len(snapshot[section]) - len(shown)
@@ -274,16 +236,6 @@ class Registry:
             more = elided("histograms", histograms)
             if more:
                 lines.append(more)
-        if spans:
-            lines.append("spans (by total time):")
-            for entry in spans:
-                lines.append(
-                    f"  {entry['path']:<52} "
-                    f"n={entry['count']} total={entry['total_seconds']:.3f}s"
-                )
-            more = elided("spans", spans)
-            if more:
-                lines.append(more)
         if "events" in snapshot:
             events = snapshot["events"]
             lines.append(
@@ -300,10 +252,9 @@ class Registry:
             json.dump(self.snapshot(), handle, indent=1, sort_keys=True)
 
     def reset(self) -> None:
-        """Drop every instrument, span aggregate, and tracer (tests, fresh runs)."""
+        """Drop every instrument and the tracer (tests, fresh runs)."""
         with self._lock:
             self._instruments.clear()
-            self._spans.clear()
         # The tracer slot is deliberately not lock-guarded state: it is
         # published by trace.install()/uninstall() as an atomic reference
         # assignment and read once into a local by every consumer (see
@@ -312,11 +263,8 @@ class Registry:
 
     def __repr__(self):
         with self._lock:
-            instruments, span_paths = len(self._instruments), len(self._spans)
-        return (
-            f"<Registry {self.name!r}: {instruments} instruments, "
-            f"{span_paths} span paths>"
-        )
+            instruments = len(self._instruments)
+        return f"<Registry {self.name!r}: {instruments} instruments>"
 
 
 def load_snapshot(path: str) -> dict:

@@ -54,7 +54,7 @@ def build_sample(
 ) -> dict:
     """One report sample: current values plus deltas/rates vs ``previous``.
 
-    Counters and span aggregates get ``delta`` (increase since the last
+    Counters get ``delta`` (increase since the last
     sample; the full value when there is none) and, when ``elapsed`` is a
     positive duration, ``rate`` per second. Gauges are levels and carry the
     value only. Histograms report ``count``/``sum`` deltas plus the
@@ -100,22 +100,6 @@ def build_sample(
         for key, _ in SNAPSHOT_QUANTILES:
             record[key] = entry.get(key)
         histograms.append(record)
-    prior_spans = {
-        entry["path"]: entry for entry in previous.get("spans", ())
-    }
-    spans = []
-    for entry in snapshot.get("spans", ()):
-        before = prior_spans.get(entry["path"])
-        spans.append(
-            {
-                "path": entry["path"],
-                "count": entry["count"],
-                "total_seconds": entry["total_seconds"],
-                "delta_count": entry["count"] - (before["count"] if before else 0),
-                "delta_seconds": entry["total_seconds"]
-                - (before["total_seconds"] if before else 0.0),
-            }
-        )
     return {
         "seq": seq,
         "wall": wall,
@@ -123,7 +107,6 @@ def build_sample(
         "counters": counters,
         "gauges": gauges,
         "histograms": histograms,
-        "spans": spans,
     }
 
 

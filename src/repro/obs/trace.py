@@ -13,9 +13,12 @@ Model
 * A **trace** is one logical operation (an episode, a query execution). It
   is identified by a 64-bit hex ``trace`` ID and holds a tree of spans.
 * A **span** is a timed region inside a trace, with a ``span`` ID and a
-  ``parent`` span ID (``None`` for the root). Entering a span when no trace
-  is active *starts a new trace* — the head-based sampling decision is made
-  exactly there and inherited by everything inside.
+  ``parent`` span ID (``None`` for the root). Spans are recorded by
+  :func:`repro.obs.region` (a :class:`Region`), which times the same
+  region into a latency histogram whether or not a tracer is installed.
+  Entering a span when no trace is active *starts a new trace* — the
+  head-based sampling decision is made exactly there and inherited by
+  everything inside.
 * An **event** is a point-in-time record attached to the innermost active
   span (or recorded trace-less when none is active — engines driven outside
   a session still leave an audit trail).
@@ -38,9 +41,9 @@ produce identical ID sequences run over run, and the tracer **never touches
 any engine RNG**, so enabling tracing cannot change a seeded run's results.
 ``sample`` < 1.0 keeps that fraction of *traces* (decided once at the root
 span; unsampled traces record nothing). With no tracer installed — the
-default — every helper is a constant-time no-op returning a shared inert
-object; instrumented hot paths fetch :func:`active` once and skip attribute
-construction entirely.
+default — every helper is a constant-time no-op and a region costs one
+tracer check; instrumented hot paths fetch :func:`active` once and skip
+attribute construction entirely.
 
 The buffer is a bounded ring: once ``capacity`` records exist, the oldest
 are evicted and counted in ``dropped`` (never silently).
@@ -89,20 +92,25 @@ def _clean(value: Any) -> Any:
     return str(value)
 
 
-class SpanHandle:
-    """Context manager for one trace span; created by :meth:`Tracer.span`.
+class Region:
+    """One timed region: a single ``perf_counter`` pair that always feeds
+    the latency histogram ``name`` and, when a tracer is recording, a trace
+    span of the same ``name`` and ``attrs``. Created by
+    :func:`repro.obs.region`.
 
-    Exposes ``trace_id`` / ``span_id`` (``None`` when the span is unsampled
-    or tracing is off) so callers can correlate external records — e.g.
-    :class:`~repro.errors.FederationError` carries the active trace ID.
+    ``elapsed`` holds the region's wall seconds after exit. ``trace_id`` /
+    ``span_id`` are ``None`` unless the span was sampled, so callers can
+    correlate external records — e.g. :class:`~repro.errors.FederationError`
+    carries the active trace ID.
     """
 
     __slots__ = (
-        "_tracer", "name", "attrs", "trace_id", "span_id", "parent_id",
-        "sampled", "elapsed", "_t0",
+        "_histogram", "_tracer", "name", "attrs", "trace_id", "span_id",
+        "parent_id", "sampled", "elapsed", "_t0",
     )
 
-    def __init__(self, tracer: "Tracer | None", name: str, attrs: dict):
+    def __init__(self, histogram, tracer: "Tracer | None", name: str, attrs: dict):
+        self._histogram = histogram
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
@@ -113,27 +121,24 @@ class SpanHandle:
         self.elapsed: float | None = None
         self._t0 = 0.0
 
-    def __enter__(self) -> "SpanHandle":
-        tracer = self._tracer
-        if tracer is not None:
-            tracer._enter_span(self)
-            self._t0 = time.perf_counter()
+    def __enter__(self) -> "Region":
+        if self._tracer is not None:
+            self._tracer._enter_span(self)
+        self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        if tracer is not None:
-            self.elapsed = time.perf_counter() - self._t0
-            tracer._exit_span(self, error=exc_type.__name__ if exc_type else None)
+        self.elapsed = time.perf_counter() - self._t0
+        self._histogram.observe(self.elapsed)
+        if self._tracer is not None:
+            self._tracer._exit_span(self, error=exc_type.__name__ if exc_type else None)
 
     def event(self, name: str, **attrs) -> None:
-        """Record a point event under this span (no-op when unsampled)."""
-        if self._tracer is not None and self.sampled:
-            self._tracer._record_event(name, attrs, self.trace_id, self.span_id)
-
-
-#: Shared inert handle returned by the module helpers when tracing is off.
-_NOOP_SPAN = SpanHandle(None, "", {})
+        """Record a point event under this region's span (no-op unless
+        the span is sampled)."""
+        tracer = self._tracer
+        if tracer is not None and self.sampled:
+            tracer._record_event(name, attrs, self.trace_id, self.span_id)
 
 
 class Tracer:
@@ -178,7 +183,7 @@ class Tracer:
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
 
-    def _stack(self) -> list[SpanHandle]:
+    def _stack(self) -> list[Region]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -195,7 +200,7 @@ class Tracer:
                     self._start = 0
             self._records.append(record)
 
-    def _enter_span(self, handle: SpanHandle) -> None:
+    def _enter_span(self, handle: Region) -> None:
         stack = self._stack()
         if stack:
             top = stack[-1]
@@ -213,9 +218,9 @@ class Tracer:
         handle.span_id = self._new_id() if handle.sampled else None
         stack.append(handle)
 
-    def _exit_span(self, handle: SpanHandle, error: str | None = None) -> None:
+    def _exit_span(self, handle: Region, error: str | None = None) -> None:
         stack = self._stack()
-        while stack:  # tolerate exotic unwinding, same as obs spans
+        while stack:  # tolerate exotic unwinding: pop to (and including) it
             if stack.pop() is handle:
                 break
         if not handle.sampled:
@@ -251,12 +256,6 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Public recording API
     # ------------------------------------------------------------------ #
-
-    def span(self, name: str, **attrs) -> SpanHandle:
-        """A ``with``-able span; starts a new trace when none is active."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return SpanHandle(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Record a point event under the innermost active span.
@@ -425,14 +424,6 @@ def active() -> Tracer | None:
     if tracer is not None and tracer.enabled:
         return tracer
     return None
-
-
-def span(name: str, **attrs) -> SpanHandle:
-    """A span on the active tracer; a shared no-op when tracing is off."""
-    tracer = active()
-    if tracer is None:
-        return _NOOP_SPAN
-    return tracer.span(name, **attrs)
 
 
 def event(name: str, **attrs) -> None:

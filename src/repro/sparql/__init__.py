@@ -14,14 +14,7 @@ from repro.sparql.ast import (
     UnionPattern,
     Var,
 )
-from repro.sparql.eval import (
-    EvalObserver,
-    QueryResult,
-    evaluate_ask,
-    evaluate_construct,
-    evaluate_select,
-    query,
-)
+from repro.sparql.eval import QueryResult, query
 from repro.sparql.explain import PLAN_SCHEMA, PlanNode, QueryPlan, explain
 from repro.sparql.parser import parse_query
 from repro.sparql.prepared import PreparedQuery, clear_plan_cache, prepare
@@ -33,7 +26,6 @@ __all__ = [
     "CODES",
     "ConstructQuery",
     "Diagnostic",
-    "EvalObserver",
     "Filter",
     "GroupGraphPattern",
     "OptionalPattern",
@@ -49,9 +41,6 @@ __all__ = [
     "analyze_query",
     "check_query",
     "clear_plan_cache",
-    "evaluate_ask",
-    "evaluate_construct",
-    "evaluate_select",
     "explain",
     "parse_query",
     "prepare",

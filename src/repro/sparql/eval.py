@@ -21,9 +21,27 @@ graph's dictionary is never mutated by a read.
 
 The stable entry points are :func:`repro.sparql.prepare` /
 :class:`~repro.sparql.prepared.PreparedQuery` and the thin
-:func:`query` wrapper. ``evaluate_select`` / ``evaluate_ask`` /
-``evaluate_construct`` remain as deprecated shims. Solutions crossing the
-public API are still dicts mapping :class:`Var` to terms.
+:func:`query` wrapper. Solutions crossing the public API are still dicts
+mapping :class:`Var` to terms.
+
+Per-operator records
+--------------------
+
+A caller that passes a ``records`` list to :func:`_execute` gets one tuple
+per executed operator appended to it::
+
+    (op, node, strategy, rows_in, rows_out, seconds)
+
+``op`` is ``"pattern"`` (``node`` is the :class:`TriplePattern`,
+``strategy`` the join algorithm the executor picked), ``"filter"``
+(``node`` is the FILTER expression) or a solution modifier (``project``,
+``distinct``, ``order``, ``slice``, ``aggregate``; ``node`` and
+``strategy`` are ``None``). One last ``("decode", None, None, 0, n, 0.0)``
+record carries the number of ID→term decodes. EXPLAIN ANALYZE
+(:mod:`repro.sparql.explain`) and per-query accounting
+(:class:`repro.obs.QueryStats`) are both folds over this list. With
+``records=None`` — the default everywhere — the executor makes one
+``is not None`` check per operator and appends nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +49,6 @@ from __future__ import annotations
 import operator
 import re
 import time
-import warnings
 import weakref
 from typing import Callable, Iterable, Iterator
 
@@ -53,6 +70,7 @@ from repro.sparql.ast import (
     Bind,
     BooleanOp,
     Comparison,
+    ConstructQuery,
     ExistsExpr,
     Expr,
     Filter,
@@ -84,64 +102,6 @@ HASH_JOIN_MIN_ROWS = 8
 HASH_JOIN_SCAN_FACTOR = 64
 
 
-class EvalObserver:
-    """Hook protocol for per-operator instrumentation (EXPLAIN ANALYZE).
-
-    The default evaluator never constructs one; :mod:`repro.sparql.explain`
-    implements it to meter rows in/out, wall time, and join strategy per
-    operator. Hooks are pure listeners — they never change semantics.
-
-    .. versionchanged:: 1.6
-       The streaming ``pattern_stage`` / ``filter_stage`` wrappers of the
-       nested-loop evaluator were replaced by the post-hoc
-       :meth:`pattern_profile` / :meth:`filter_profile` callbacks, matching
-       the materialized ID-space pipeline.
-    """
-
-    def pattern_profile(
-        self,
-        pattern: TriplePattern,
-        strategy: str,
-        rows_in: int,
-        rows_out: int,
-        seconds: float,
-    ) -> None:
-        raise NotImplementedError
-
-    def filter_profile(
-        self, expression: Expr, rows_in: int, rows_out: int, seconds: float
-    ) -> None:
-        raise NotImplementedError
-
-    def modifier(self, op: str, rows_in: int, rows_out: int, seconds: float) -> None:
-        raise NotImplementedError
-
-
-class _StatsObserver(EvalObserver):
-    """Routes evaluator profile callbacks into a
-    :class:`~repro.obs.accounting.QueryStats` ledger.
-
-    Constructed only when per-query accounting (or the slowlog) is active;
-    the default execution path never allocates one, keeping the off state
-    byte-identical to pre-accounting behaviour.
-    """
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats):
-        self.stats = stats
-
-    def pattern_profile(self, pattern, strategy, rows_in, rows_out, seconds):
-        self.stats.note_strategy(strategy, rows_in, rows_out, seconds)
-        self.stats.note_phase("match", seconds)
-
-    def filter_profile(self, expression, rows_in, rows_out, seconds):
-        self.stats.note_phase("filter", seconds)
-
-    def modifier(self, op, rows_in, rows_out, seconds):
-        self.stats.note_phase(op, seconds)
-
-
 #: Sentinel raised internally when a FILTER expression has an error —
 #: per SPARQL semantics an erroring FILTER eliminates the solution.
 class _ExpressionError(Exception):
@@ -163,12 +123,14 @@ class _Codec:
     nothing, and the graph's dictionary is never grown by a read.
     """
 
-    __slots__ = ("base", "_local_ids", "_local_terms")
+    __slots__ = ("base", "_local_ids", "_local_terms", "decodes")
 
     def __init__(self, base: TermDictionary):
         self.base = base
         self._local_ids: dict[Term, int] = {}
         self._local_terms: list[Term] = []
+        #: Decodes performed; only :class:`_CountingCodec` increments it.
+        self.decodes = 0
 
     def encode(self, term: Term) -> int:
         term_id = self.base.lookup(term)
@@ -188,20 +150,17 @@ class _Codec:
 
 
 class _CountingCodec(_Codec):
-    """A codec that tallies decodes into a QueryStats ledger.
+    """A codec that counts its decodes.
 
-    Substituted for :class:`_Codec` only when accounting is collecting, so
-    the default hot path keeps the base class's zero-overhead decode.
+    Substituted for :class:`_Codec` only when the caller collects
+    per-operator records, so the default hot path keeps the base class's
+    zero-overhead decode.
     """
 
-    __slots__ = ("stats",)
-
-    def __init__(self, base: TermDictionary, stats):
-        super().__init__(base)
-        self.stats = stats
+    __slots__ = ()
 
     def decode(self, term_id: int) -> Term:
-        self.stats.decodes += 1
+        self.decodes += 1
         return _Codec.decode(self, term_id)
 
 
@@ -658,7 +617,7 @@ def _eval_group_ids(
     group: GroupGraphPattern,
     layout: _Layout,
     rows: list[tuple],
-    observer: EvalObserver | None = None,
+    records: list | None = None,
     memo: _BGPOrderMemo | None = None,
 ) -> list[tuple]:
     filters: list[Expr] = []
@@ -677,24 +636,24 @@ def _eval_group_ids(
                 rows_in = len(rows)
                 started = time.perf_counter()
                 rows, strategy = _eval_pattern_ids(graph, codec, pattern, layout, rows)
-                if observer is not None:
-                    observer.pattern_profile(
-                        pattern, strategy, rows_in, len(rows),
+                if records is not None:
+                    records.append((
+                        "pattern", pattern, strategy, rows_in, len(rows),
                         time.perf_counter() - started,
-                    )
+                    ))
         elif isinstance(child, Filter):
             filters.append(child.expression)
         elif isinstance(child, GroupGraphPattern):
-            rows = _eval_group_ids(graph, codec, child, layout, rows, observer, memo)
+            rows = _eval_group_ids(graph, codec, child, layout, rows, records, memo)
         elif isinstance(child, OptionalPattern):
             if rows:
-                rows = _eval_optional(graph, codec, child, layout, rows, observer, memo)
+                rows = _eval_optional(graph, codec, child, layout, rows, records, memo)
         elif isinstance(child, UnionPattern):
             next_rows: list[tuple] = []
             for alternative in child.alternatives:
                 next_rows.extend(
                     _eval_group_ids(
-                        graph, codec, alternative, layout, list(rows), observer, memo
+                        graph, codec, alternative, layout, list(rows), records, memo
                     )
                 )
             rows = next_rows
@@ -706,7 +665,7 @@ def _eval_group_ids(
             raise QueryEvaluationError(f"unknown pattern node: {type(child).__name__}")
     if filters:
         pairs = [(row, _decode_row(codec, layout, row)) for row in rows]
-        if observer is not None:
+        if records is not None:
             # one pass per FILTER so each gets its own rows in/out; the
             # conjunction is order-independent (an erroring filter is
             # False), so per-filter sequencing preserves `all(...)`.
@@ -718,9 +677,10 @@ def _eval_group_ids(
                     for row, solution in pairs
                     if _filter_passes(expression, solution, graph)
                 ]
-                observer.filter_profile(
-                    expression, rows_in, len(pairs), time.perf_counter() - started
-                )
+                records.append((
+                    "filter", expression, None, rows_in, len(pairs),
+                    time.perf_counter() - started,
+                ))
         else:
             pairs = [
                 (row, solution)
@@ -737,7 +697,7 @@ def _eval_optional(
     child: OptionalPattern,
     layout: _Layout,
     rows: list[tuple],
-    observer: EvalObserver | None,
+    records: list | None,
     memo: _BGPOrderMemo | None,
 ) -> list[tuple]:
     """Batched left outer join: tag every input row with its position in a
@@ -746,7 +706,7 @@ def _eval_optional(
     through unchanged — and untagged)."""
     origin_slot = layout.slot(object())  # fresh sentinel key, never a Var
     seeded = [_row_set(row, origin_slot, index) for index, row in enumerate(rows)]
-    matched = _eval_group_ids(graph, codec, child.pattern, layout, seeded, observer, memo)
+    matched = _eval_group_ids(graph, codec, child.pattern, layout, seeded, records, memo)
     by_origin: dict[int, list[tuple]] = {}
     for row in matched:
         by_origin.setdefault(row[origin_slot], []).append(row)
@@ -924,14 +884,10 @@ def eval_group(
     graph: Graph,
     group: GroupGraphPattern,
     solutions: Iterable[Solution] | None = None,
-    observer: EvalObserver | None = None,
 ) -> list[Solution]:
     """Evaluate a group pattern over solution dicts.
 
     A thin boundary over the ID-space engine: encode, join, decode.
-    ``observer`` (see :mod:`repro.sparql.explain`) receives per-operator
-    profiles; ``None`` — the default everywhere — keeps evaluation on the
-    unobserved path.
     """
     codec = _Codec(graph.dictionary)
     layout = _Layout()
@@ -939,7 +895,7 @@ def eval_group(
         rows: list[tuple] = [()]
     else:
         rows = [_encode_solution(codec, layout, solution) for solution in solutions]
-    rows = _eval_group_ids(graph, codec, group, layout, rows, observer)
+    rows = _eval_group_ids(graph, codec, group, layout, rows)
     return [_decode_row(codec, layout, row) for row in rows]
 
 
@@ -1216,13 +1172,13 @@ def _order_key_for(value) -> tuple:
     return (5, "", str(value))
 
 
-def _observed_stage(observer, op: str, rows_in: int, stage: Callable[[], list]):
-    """Run one solution-modifier stage, reporting rows/time to the observer."""
-    if observer is None:
+def _stage(records: list | None, op: str, rows_in: int, stage: Callable[[], list]):
+    """Run one solution-modifier stage, appending its record when collecting."""
+    if records is None:
         return stage()
     started = time.perf_counter()
     out = stage()
-    observer.modifier(op, rows_in, len(out), time.perf_counter() - started)
+    records.append((op, None, None, rows_in, len(out), time.perf_counter() - started))
     return out
 
 
@@ -1243,43 +1199,55 @@ def _initial_rows(
     return [_encode_solution(codec, layout, normalized)]
 
 
-def _make_codec_observer(
-    graph: Graph, observer: EvalObserver | None, stats
-) -> tuple[_Codec, EvalObserver | None]:
-    """The (codec, observer) pair for one execution: plain when accounting
-    is off; decode-counting + stats-observing when a QueryStats collects."""
-    if stats is None:
-        return _Codec(graph.dictionary), observer
-    codec = _CountingCodec(graph.dictionary, stats)
-    if observer is None:
-        observer = _StatsObserver(stats)
-    return codec, observer
+def _execute(
+    graph: Graph,
+    plan,
+    bindings: Solution | None = None,
+    memo: _BGPOrderMemo | None = None,
+    records: list | None = None,
+) -> QueryResult | bool | Graph:
+    """Run a parsed query: a :class:`QueryResult` for SELECT, a bool for
+    ASK, a :class:`~repro.rdf.graph.Graph` for CONSTRUCT. ``records``
+    collects the per-operator records described in the module docstring."""
+    codec = _Codec(graph.dictionary) if records is None else _CountingCodec(graph.dictionary)
+    if isinstance(plan, SelectQuery):
+        result: QueryResult | bool | Graph = _execute_select(
+            graph, codec, plan, bindings, memo, records
+        )
+    elif isinstance(plan, AskQuery):
+        result = _execute_ask(graph, codec, plan, bindings, memo, records)
+    elif isinstance(plan, ConstructQuery):
+        result = _execute_construct(graph, codec, plan, bindings, memo, records)
+    else:
+        raise QueryEvaluationError(f"cannot execute query of type {type(plan).__name__}")
+    if records is not None:
+        records.append(("decode", None, None, 0, codec.decodes, 0.0))
+    return result
 
 
 def _execute_select(
     graph: Graph,
+    codec: _Codec,
     query: SelectQuery,
-    observer: EvalObserver | None = None,
-    bindings: Solution | None = None,
-    memo: _BGPOrderMemo | None = None,
-    stats=None,
+    bindings: Solution | None,
+    memo: _BGPOrderMemo | None,
+    records: list | None,
 ) -> QueryResult:
-    codec, observer = _make_codec_observer(graph, observer, stats)
     layout = _Layout()
     id_rows = _initial_rows(codec, layout, bindings)
-    id_rows = _eval_group_ids(graph, codec, query.where, layout, id_rows, observer, memo)
+    id_rows = _eval_group_ids(graph, codec, query.where, layout, id_rows, records, memo)
     if id_rows:
         obs.inc("sparql.solutions.produced", len(id_rows))
     projected = query.projected()
 
     if query.is_aggregated:
-        rows = _observed_stage(
-            observer,
+        rows = _stage(
+            records,
             "aggregate",
             len(id_rows),
             lambda: _aggregate_rows_ids(query, codec, layout, id_rows),
         )
-        return QueryResult(projected, _finalize_term_rows(query, rows, observer))
+        return QueryResult(projected, _finalize_term_rows(query, rows, records))
 
     slots = [layout.index.get(var) for var in projected]
 
@@ -1314,7 +1282,7 @@ def _execute_select(
             )
         return out
 
-    projected_rows = _observed_stage(observer, "project", len(id_rows), project)
+    projected_rows = _stage(records, "project", len(id_rows), project)
 
     if query.distinct:
         def deduplicate() -> list[tuple]:
@@ -1328,9 +1296,7 @@ def _execute_select(
                     unique.append(row)
             return unique
 
-        projected_rows = _observed_stage(
-            observer, "distinct", len(projected_rows), deduplicate
-        )
+        projected_rows = _stage(records, "distinct", len(projected_rows), deduplicate)
 
     def to_solution(id_row: tuple) -> Solution:
         return {
@@ -1341,18 +1307,16 @@ def _execute_select(
 
     if query.order_by:
         rows = [to_solution(row) for row in projected_rows]
-        rows = _observed_stage(
-            observer, "order", len(rows), lambda: _order_rows(query, rows)
-        )
-        rows = _slice_rows(query, rows, observer)
+        rows = _stage(records, "order", len(rows), lambda: _order_rows(query, rows))
+        rows = _slice_rows(query, rows, records)
         return QueryResult(projected, rows)
 
-    projected_rows = _slice_rows(query, projected_rows, observer)
+    projected_rows = _slice_rows(query, projected_rows, records)
     return QueryResult(projected, [to_solution(row) for row in projected_rows])
 
 
 def _finalize_term_rows(
-    query: SelectQuery, rows: list[Solution], observer: EvalObserver | None
+    query: SelectQuery, rows: list[Solution], records: list | None
 ) -> list[Solution]:
     """DISTINCT / ORDER / slice over term-space rows (the aggregate path)."""
     if query.distinct:
@@ -1366,12 +1330,10 @@ def _finalize_term_rows(
                     unique.append(row)
             return unique
 
-        rows = _observed_stage(observer, "distinct", len(rows), deduplicate)
+        rows = _stage(records, "distinct", len(rows), deduplicate)
     if query.order_by:
-        rows = _observed_stage(
-            observer, "order", len(rows), lambda: _order_rows(query, rows)
-        )
-    return _slice_rows(query, rows, observer)
+        rows = _stage(records, "order", len(rows), lambda: _order_rows(query, rows))
+    return _slice_rows(query, rows, records)
 
 
 def _order_rows(query: SelectQuery, rows: list[Solution]) -> list[Solution]:
@@ -1387,7 +1349,7 @@ def _order_rows(query: SelectQuery, rows: list[Solution]) -> list[Solution]:
     return rows
 
 
-def _slice_rows(query: SelectQuery, rows: list, observer: EvalObserver | None) -> list:
+def _slice_rows(query: SelectQuery, rows: list, records: list | None) -> list:
     if not query.offset and query.limit is None:
         return rows
 
@@ -1395,7 +1357,7 @@ def _slice_rows(query: SelectQuery, rows: list, observer: EvalObserver | None) -
         out = rows[query.offset:] if query.offset else rows
         return out[: query.limit] if query.limit is not None else out
 
-    return _observed_stage(observer, "slice", len(rows), slice_rows)
+    return _stage(records, "slice", len(rows), slice_rows)
 
 
 def _aggregate_rows(query: SelectQuery, solutions: list[Solution]) -> list[Solution]:
@@ -1461,25 +1423,24 @@ def _aggregate_rows_ids(
 
 def _execute_ask(
     graph: Graph,
+    codec: _Codec,
     query: AskQuery,
-    observer: EvalObserver | None = None,
-    bindings: Solution | None = None,
-    memo: _BGPOrderMemo | None = None,
-    stats=None,
+    bindings: Solution | None,
+    memo: _BGPOrderMemo | None,
+    records: list | None,
 ) -> bool:
-    codec, observer = _make_codec_observer(graph, observer, stats)
     layout = _Layout()
     rows = _initial_rows(codec, layout, bindings)
-    return bool(_eval_group_ids(graph, codec, query.where, layout, rows, observer, memo))
+    return bool(_eval_group_ids(graph, codec, query.where, layout, rows, records, memo))
 
 
 def _execute_construct(
     graph: Graph,
-    query,
-    observer: EvalObserver | None = None,
-    bindings: Solution | None = None,
-    memo: _BGPOrderMemo | None = None,
-    stats=None,
+    codec: _Codec,
+    query: ConstructQuery,
+    bindings: Solution | None,
+    memo: _BGPOrderMemo | None,
+    records: list | None,
 ) -> Graph:
     """Instantiate the CONSTRUCT template once per solution.
 
@@ -1490,10 +1451,9 @@ def _execute_construct(
     from repro.rdf.triples import Triple
 
     out = Graph(name="constructed")
-    codec, observer = _make_codec_observer(graph, observer, stats)
     layout = _Layout()
     rows = _initial_rows(codec, layout, bindings)
-    rows = _eval_group_ids(graph, codec, query.where, layout, rows, observer, memo)
+    rows = _eval_group_ids(graph, codec, query.where, layout, rows, records, memo)
     template_vars = {
         position
         for pattern in query.template
@@ -1518,41 +1478,6 @@ def _execute_construct(
                 continue
             out.add(Triple(subject, predicate, obj))
     return out
-
-
-# --------------------------------------------------------------------- #
-# Deprecated direct entry points (pre-1.6); use prepare()/query()
-# --------------------------------------------------------------------- #
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def evaluate_select(
-    graph: Graph, query: SelectQuery, observer: EvalObserver | None = None
-) -> QueryResult:
-    """Deprecated alias of ``prepare(...).execute(graph)`` for SELECT ASTs."""
-    _deprecated("evaluate_select()", "repro.sparql.prepare(text).execute(graph)")
-    return _execute_select(graph, query, observer=observer)
-
-
-def evaluate_ask(
-    graph: Graph, query: AskQuery, observer: EvalObserver | None = None
-) -> bool:
-    """Deprecated alias of ``prepare(...).execute(graph)`` for ASK ASTs."""
-    _deprecated("evaluate_ask()", "repro.sparql.prepare(text).execute(graph)")
-    return _execute_ask(graph, query, observer=observer)
-
-
-def evaluate_construct(graph: Graph, query, observer: EvalObserver | None = None) -> Graph:
-    """Deprecated alias of ``prepare(...).execute(graph)`` for CONSTRUCT ASTs."""
-    _deprecated("evaluate_construct()", "repro.sparql.prepare(text).execute(graph)")
-    return _execute_construct(graph, query, observer=observer)
 
 
 def query(graph: Graph, text: str, strict: bool = False, profile: bool = False):
@@ -1580,7 +1505,7 @@ def query(graph: Graph, text: str, strict: bool = False, profile: bool = False):
     from repro.sparql.prepared import prepare
 
     obs.inc("sparql.queries")
-    with obs.timer("sparql.query.seconds"):
+    with obs.region("sparql.query.execute"):
         prepared = prepare(text)
         if strict:
             from repro.sparql.analysis import check_query

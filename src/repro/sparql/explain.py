@@ -6,12 +6,14 @@ optimizer (:mod:`repro.sparql.optimizer`) would actually execute, with that
 optimizer's cardinality estimate attached to every triple pattern. The plan
 never executes the query.
 
-``explain(graph, query, analyze=True)`` additionally *runs* the query under
-an :class:`~repro.sparql.eval.EvalObserver` that meters every operator —
-rows in, rows out, wall seconds, join strategy — and, when a tracer is
-installed (:mod:`repro.obs.trace`), attaches one ``sparql.operator.eval``
-trace event per operator inside a ``sparql.query.explain`` span, so query
-profiles land in the same audit trail as engine decisions.
+``explain(graph, query, analyze=True)`` additionally *runs* the query,
+collecting the executor's per-operator records (see
+:mod:`repro.sparql.eval`) — rows in, rows out, wall seconds, join
+strategy — and folds them onto the plan nodes. The run is the
+``sparql.query.explain`` region (:func:`repro.obs.region`); when a tracer
+is installed (:mod:`repro.obs.trace`) the region's span carries one
+``sparql.operator.eval`` event per operator, so query profiles land in the
+same audit trail as engine decisions.
 
 Timing semantics: since v1.6 the evaluator materializes each pattern
 stage (adaptively as a hash join or an index nested-loop batch), so a
@@ -26,11 +28,10 @@ and as ``sparql.query(..., profile=True)``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs import trace
+from repro import obs
 from repro.rdf.graph import Graph
 from repro.sparql.ast import (
     AskQuery,
@@ -48,18 +49,12 @@ from repro.sparql.ast import (
     OptionalPattern,
     SelectQuery,
     TermExpr,
-    TriplePattern,
     UnionPattern,
     ValuesClause,
     Var,
     VarExpr,
 )
-from repro.sparql.eval import (
-    EvalObserver,
-    _execute_ask,
-    _execute_construct,
-    _execute_select,
-)
+from repro.sparql.eval import _execute
 from repro.sparql.optimizer import estimate_cardinality, reorder_bgp
 from repro.sparql.parser import parse_query
 from repro.sparql.paths import PathExpr
@@ -200,7 +195,7 @@ class QueryPlan:
 
 
 class _PlanBuilder:
-    """Builds the plan tree, registering operator nodes for the meter.
+    """Builds the plan tree, registering operator nodes for the fold.
 
     BGPs are reordered here with the *same* deterministic greedy procedure
     the evaluator applies (:func:`reorder_bgp` is a pure function of the
@@ -210,7 +205,7 @@ class _PlanBuilder:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        #: id(ast object) -> PlanNode, for the meter's stage lookups.
+        #: id(ast object) -> PlanNode, for the fold's operator lookups.
         self.nodes: dict[int, PlanNode] = {}
         #: top-level modifier op -> PlanNode ("project", "distinct", ...).
         self.modifiers: dict[str, PlanNode] = {}
@@ -340,63 +335,37 @@ class _PlanBuilder:
 
 
 # --------------------------------------------------------------------- #
-# The meter: an EvalObserver accumulating into plan nodes
+# The fold: executor records accumulated onto plan nodes
 # --------------------------------------------------------------------- #
 
 
-class _Meter(EvalObserver):
-    """Routes evaluator profile callbacks onto the prepared plan nodes.
+def _fold(builder: _PlanBuilder, records: list) -> None:
+    """Add the executor's per-operator records onto the plan nodes.
 
     UNION alternatives share their pattern objects across branches and a
-    group may execute more than once, so stats *accumulate* across calls —
-    the node reports the operator's total work, as EXPLAIN ANALYZE loops
+    group may execute more than once, so stats *accumulate* across records
+    — the node reports the operator's total work, as EXPLAIN ANALYZE loops
     do. A pattern node's ``strategy`` is overwritten with the strategy the
-    executor actually picked.
+    executor actually picked. Records with no plan node (the ``decode``
+    tally, modifiers the plan does not show) are skipped.
     """
-
-    def __init__(self, builder: _PlanBuilder):
-        self._builder = builder
-
-    def _node(self, key: int, op: str, detail: str) -> PlanNode:
-        node = self._builder.nodes.get(key)
-        if node is None:
-            # an operator the builder did not anticipate (defensive): attach
-            # a floating node so its numbers are not lost
-            node = PlanNode(op, detail=detail)
-            self._builder.nodes[key] = node
-            self._builder.modifiers.setdefault("group", PlanNode("group")).children.append(
-                node
-            )
-        return node
-
-    def pattern_profile(
-        self,
-        pattern: TriplePattern,
-        strategy: str,
-        rows_in: int,
-        rows_out: int,
-        seconds: float,
-    ) -> None:
-        node = self._node(id(pattern), "pattern", str(pattern))
-        node.executed = True
-        node.strategy = strategy
-        node.rows_in += rows_in
-        node.rows_out += rows_out
-        node.seconds += seconds
-
-    def filter_profile(
-        self, expression: Expr, rows_in: int, rows_out: int, seconds: float
-    ) -> None:
-        node = self._node(id(expression), "filter", render_expr(expression))
-        node.executed = True
-        node.rows_in += rows_in
-        node.rows_out += rows_out
-        node.seconds += seconds
-
-    def modifier(self, op: str, rows_in: int, rows_out: int, seconds: float) -> None:
-        node = self._builder.modifiers.get(op)
-        if node is None:
-            return
+    for op, key, strategy, rows_in, rows_out, seconds in records:
+        if key is None:
+            node = builder.modifiers.get(op)
+            if node is None:
+                continue
+        else:
+            node = builder.nodes.get(id(key))
+            if node is None:
+                # an operator the builder did not anticipate (defensive):
+                # attach a floating node so its numbers are not lost
+                detail = str(key) if op == "pattern" else render_expr(key)
+                node = builder.nodes[id(key)] = PlanNode(op, detail=detail)
+                builder.modifiers.setdefault("group", PlanNode("group")).children.append(
+                    node
+                )
+        if strategy is not None:
+            node.strategy = strategy
         node.executed = True
         node.rows_in += rows_in
         node.rows_out += rows_out
@@ -411,11 +380,12 @@ class _Meter(EvalObserver):
 def explain(graph: Graph, query, analyze: bool = False) -> QueryPlan:
     """Build the optimized plan for ``query`` (text or parsed) over ``graph``.
 
-    ``analyze=True`` executes the query, filling per-operator ``rows_in`` /
-    ``rows_out`` / ``seconds`` / ``strategy`` and emitting one
-    ``sparql.operator.eval`` trace event per executed operator (plus the
-    enclosing ``sparql.query.explain`` span) when a tracer is active. The
-    executed result is exposed as ``plan.result``.
+    ``analyze=True`` executes the query inside the ``sparql.query.explain``
+    region, filling per-operator ``rows_in`` / ``rows_out`` / ``seconds`` /
+    ``strategy`` and, when a tracer is active, emitting one
+    ``sparql.operator.eval`` event per executed operator under the
+    region's span. The executed result is exposed as ``plan.result``;
+    ``plan.seconds`` is the region's wall time.
     """
     parsed = parse_query(query) if isinstance(query, str) else query
     builder = _PlanBuilder(graph)
@@ -424,32 +394,28 @@ def explain(graph: Graph, query, analyze: bool = False) -> QueryPlan:
     if not analyze:
         return plan
 
-    meter = _Meter(builder)
-    with trace.span(
+    records: list = []
+    with obs.region(
         "sparql.query.explain", kind=type(parsed).__name__, analyze=True
-    ) as span:
-        started = time.perf_counter()
-        if isinstance(parsed, SelectQuery):
-            plan.result = _execute_select(graph, parsed, observer=meter)
-        elif isinstance(parsed, ConstructQuery):
-            plan.result = _execute_construct(graph, parsed, observer=meter)
-        else:
-            plan.result = _execute_ask(graph, parsed, observer=meter)
-        plan.seconds = time.perf_counter() - started
-        plan.trace_id = span.trace_id
-        tracer = trace.active()
-        if tracer is not None:
-            for node in root.walk():
-                if not node.executed and node.op not in ("ask", "construct"):
-                    continue
-                span.event(
-                    "sparql.operator.eval",
-                    op=node.op,
-                    detail=node.detail,
-                    rows_in=node.rows_in,
-                    rows_out=node.rows_out,
-                    seconds=round(node.seconds, 9),
-                    strategy=node.strategy,
-                    estimate=node.estimate,
-                )
+    ) as region:
+        plan.result = _execute(graph, parsed, records=records)
+    # Folding and event emission stay outside the region, so the reported
+    # total is the execution alone.
+    plan.seconds = region.elapsed
+    plan.trace_id = region.trace_id
+    _fold(builder, records)
+    if region.sampled:
+        for node in root.walk():
+            if not node.executed and node.op not in ("ask", "construct"):
+                continue
+            region.event(
+                "sparql.operator.eval",
+                op=node.op,
+                detail=node.detail,
+                rows_in=node.rows_in,
+                rows_out=node.rows_out,
+                seconds=round(node.seconds, 9),
+                strategy=node.strategy,
+                estimate=node.estimate,
+            )
     return plan

@@ -27,22 +27,17 @@ import time
 from collections import OrderedDict
 
 from repro import obs
-from repro.errors import QueryEvaluationError
 from repro.obs import accounting, slowlog
 from repro.rdf.graph import Graph
 from repro.sparql.ast import AskQuery, ConstructQuery, SelectQuery
-from repro.sparql.eval import (
-    QueryResult,
-    Solution,
-    _BGPOrderMemo,
-    _execute_ask,
-    _execute_construct,
-    _execute_select,
-)
+from repro.sparql.eval import QueryResult, Solution, _BGPOrderMemo, _execute
 from repro.sparql.parser import parse_query
 
 #: Maximum number of parsed plans kept in the process-wide LRU cache.
 PLAN_CACHE_SIZE = 128
+
+#: :attr:`QueryStats.kind <repro.obs.QueryStats>` per plan type.
+_KINDS = {SelectQuery: "select", AskQuery: "ask", ConstructQuery: "construct"}
 
 _cache_lock = threading.Lock()
 _plan_cache: OrderedDict[str, "PreparedQuery"] = OrderedDict()
@@ -76,49 +71,21 @@ class PreparedQuery:
         bare/``?``-prefixed names) before the WHERE clause evaluates —
         the parameterized-query idiom.
         """
-        plan = self.plan
         slog = slowlog.active()
         if not (accounting.enabled() or slog is not None):
-            # Accounting off: the original, zero-overhead dispatch.
-            if isinstance(plan, SelectQuery):
-                return _execute_select(graph, plan, bindings=bindings, memo=self._memo)
-            if isinstance(plan, AskQuery):
-                return _execute_ask(graph, plan, bindings=bindings, memo=self._memo)
-            if isinstance(plan, ConstructQuery):
-                return _execute_construct(graph, plan, bindings=bindings, memo=self._memo)
-            raise QueryEvaluationError(
-                f"cannot execute query of type {type(plan).__name__}"
-            )
-
-        if isinstance(plan, SelectQuery):
-            kind = "select"
-        elif isinstance(plan, AskQuery):
-            kind = "ask"
-        elif isinstance(plan, ConstructQuery):
-            kind = "construct"
-        else:
-            raise QueryEvaluationError(
-                f"cannot execute query of type {type(plan).__name__}"
-            )
-        stats = accounting.QueryStats(kind)
-        stats.plan_cache_hit = accounting.consume_plan_cache_note()
+            # Accounting off: no records, the zero-overhead dispatch.
+            return _execute(graph, self.plan, bindings, self._memo)
+        # Consumed before executing, so a raising query cannot leave the
+        # note for the next accounted execute on this thread.
+        plan_cache_hit = accounting.consume_plan_cache_note()
+        records: list = []
         started = time.perf_counter()
-        if kind == "select":
-            result = _execute_select(
-                graph, plan, bindings=bindings, memo=self._memo, stats=stats
-            )
-            stats.rows_out = len(result)
-        elif kind == "ask":
-            result = _execute_ask(
-                graph, plan, bindings=bindings, memo=self._memo, stats=stats
-            )
-            stats.rows_out = int(bool(result))
-        else:
-            result = _execute_construct(
-                graph, plan, bindings=bindings, memo=self._memo, stats=stats
-            )
-            stats.rows_out = len(result)
+        result = _execute(graph, self.plan, bindings, self._memo, records)
+        stats = accounting.QueryStats(_KINDS[type(self.plan)])
         stats.wall_seconds = time.perf_counter() - started
+        stats.plan_cache_hit = plan_cache_hit
+        stats.fold(records)
+        stats.rows_out = int(result) if isinstance(result, bool) else len(result)
         if isinstance(result, QueryResult):
             result.stats = stats
         if slog is not None:

@@ -415,6 +415,26 @@ class TestStatsAndRunTracing:
         assert "alex.episode.run" in names
         assert "alex.feature.select" in names
 
+    def test_run_trace_sample_keeps_some_episode_traces(self, capsys, tmp_path):
+        from repro.obs.trace import load_jsonl
+
+        out_path = str(tmp_path / "sampled-trace.jsonl")
+        code, _, _ = run_cli(
+            capsys, "run", "fig4d", "--max-episodes", "6",
+            "--trace-out", out_path, "--trace-sample", "0.5",
+        )
+        assert code == 0
+        records = load_jsonl(out_path)["records"]
+        episodes = [r for r in records if r["name"] == "alex.episode.run"]
+        # sampling is decided per episode: each kept episode is its own
+        # root trace, and some but not all of the six are kept
+        assert 0 < len(episodes) < 6
+        assert all(r["parent"] is None for r in episodes)
+        kept = {r["trace"] for r in episodes}
+        assert len(kept) == len(episodes)
+        # a kept trace is complete: its episode-end event is in it
+        assert {r["trace"] for r in records if r["name"] == "alex.episode.end"} == kept
+
 
 class TestHealthCli:
     def test_health_prints_json_and_exits_zero(self, capsys):

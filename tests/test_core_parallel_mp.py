@@ -114,3 +114,47 @@ class TestParallelRun:
                 [], LinkSet(), pair.ground_truth,
                 AlexConfig(episode_size=10), episode_size=10, max_episodes=1,
             )
+
+
+class TestRouting:
+    def test_both_runners_route_every_link_alike(self, pair, monkeypatch):
+        """PartitionedAlex and run_partitions_parallel give every initial
+        link, every ground-truth link, and a link outside every space the
+        same partition index."""
+        from repro.core import PartitionedAlex, parallel_mp
+        from repro.links import Link
+
+        spaces = build_partitioned_spaces(pair.left, pair.right, 3)
+        assert len(spaces) == 3
+        outside = Link(URIRef("http://left.example/nowhere"), URIRef("http://right.example/nowhere"))
+        assert all(outside not in space for space in spaces)
+        initial = LinkSet(list(paris_links(pair.left, pair.right, 0.8)) + [outside])
+        truth = LinkSet(list(pair.ground_truth) + [outside])
+        config = AlexConfig(episode_size=5, seed=5)
+
+        shipped = []  # per partition job: (initial links, ground-truth links)
+
+        def capture(space_blob, initial_links, ground_truth_links, *rest):
+            shipped.append((initial_links, ground_truth_links))
+            return parallel_mp.PartitionOutcome(
+                name=f"partition-{len(shipped) - 1}", candidates=frozenset(),
+                episodes_run=0, converged_at=None, relaxed_converged_at=None,
+                elapsed_seconds=0.0,
+            )
+
+        monkeypatch.setattr(parallel_mp, "_run_partition", capture)
+        run_partitions_parallel(
+            spaces, initial, truth, config, episode_size=5, max_episodes=1, max_workers=1
+        )
+        alex = PartitionedAlex(spaces, initial, config)
+
+        assert len(shipped) == len(spaces)
+        assert set().union(*(links for links, _ in shipped)) == set(initial)
+        assert set().union(*(links for _, links in shipped)) == set(truth)
+        for index, (initial_part, truth_part) in enumerate(shipped):
+            for link in initial_part:
+                assert link in alex.engines[index].candidates
+            for link in initial_part | truth_part:
+                assert alex.engine_for(link) is alex.engines[index]
+        owner = alex.engines.index(alex.engine_for(outside))
+        assert outside in shipped[owner][0] and outside in shipped[owner][1]

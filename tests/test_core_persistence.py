@@ -1,16 +1,10 @@
-"""Tests for engine state save/load (the AlexEngine method API + shims)."""
+"""Tests for engine state save/load (the AlexEngine method API)."""
 
 import json
 
 import pytest
 
 from repro.core import AlexConfig, AlexEngine
-from repro.core.persistence import (
-    dump_engine,
-    load_engine,
-    load_engine_file,
-    save_engine_file,
-)
 from repro.errors import ConfigError
 from repro.features import FeatureSpace
 from repro.feedback import FeedbackSession, GroundTruthOracle
@@ -112,23 +106,8 @@ class TestRoundTrip:
 
 
 class TestDeprecatedShims:
-    """The pre-1.1 four-function surface still works, but warns."""
-
-    def test_dump_and_load_engine_warn_and_round_trip(self, space, trained_engine):
-        with pytest.warns(DeprecationWarning, match="AlexEngine.to_dict"):
-            state = dump_engine(trained_engine)
-        assert state == trained_engine.to_dict()
-        with pytest.warns(DeprecationWarning, match="AlexEngine.from_dict"):
-            restored = load_engine(space, state)
-        assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
-
-    def test_file_shims_warn_and_round_trip(self, space, trained_engine, tmp_path):
-        path = str(tmp_path / "engine.json")
-        with pytest.warns(DeprecationWarning, match="AlexEngine.save"):
-            save_engine_file(trained_engine, path)
-        with pytest.warns(DeprecationWarning, match="AlexEngine.load"):
-            restored = load_engine_file(space, path)
-        assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
+    """The pre-1.1 four-function surface is gone (v2.0.0); the
+    AlexEngine methods carry no deprecation warnings."""
 
     def test_new_api_does_not_warn(self, space, trained_engine, tmp_path):
         import warnings

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ObsError
-from repro.obs import Registry
+from repro.obs import Registry, trace
 
 
 @pytest.fixture()
@@ -65,42 +65,45 @@ class TestHistogram:
         assert histogram.min is None
 
     def test_timer_observes_seconds(self, registry):
-        with registry.timer("t.seconds") as timing:
+        with obs.use_registry(registry), obs.region("t.seconds") as timing:
             pass
         histogram = registry.histogram("t.seconds")
         assert histogram.count == 1
-        assert histogram.sum >= 0
-        assert timing.elapsed is not None
+        assert histogram.boundaries == obs.DEFAULT_LATENCY_BOUNDARIES
+        assert histogram.sum == timing.elapsed >= 0
 
 
 class TestSpans:
+    """Regions nest as trace spans; each region's histogram counts its own
+    completions (nesting is not encoded in metric names)."""
+
     def test_nesting_builds_paths(self, registry):
-        with registry.span("episode"):
-            with registry.span("explore"):
-                pass
-            with registry.span("explore"):
-                pass
-        snapshot = registry.snapshot()
-        by_path = {entry["path"]: entry for entry in snapshot["spans"]}
-        assert by_path["episode"]["count"] == 1
-        assert by_path["episode/explore"]["count"] == 2
-        assert by_path["episode"]["total_seconds"] >= by_path["episode/explore"][
-            "total_seconds"
-        ]
+        with obs.use_registry(registry):
+            trace.install(seed=0)
+            with obs.region("alex.episode.run") as episode:
+                with obs.region("alex.episode.explore") as first:
+                    pass
+                with obs.region("alex.episode.explore") as second:
+                    pass
+        assert registry.histogram("alex.episode.run").count == 1
+        assert registry.histogram("alex.episode.explore").count == 2
+        assert first.parent_id == second.parent_id == episode.span_id
+        assert first.trace_id == episode.trace_id
+        assert episode.elapsed >= first.elapsed + second.elapsed
 
     def test_span_survives_exceptions(self, registry):
-        with pytest.raises(ValueError):
-            with registry.span("outer"):
-                raise ValueError("boom")
-        # stack unwound: a new span is top-level again
-        with registry.span("fresh"):
-            pass
-        paths = {entry["path"] for entry in registry.snapshot()["spans"]}
-        assert paths == {"outer", "fresh"}
-
-    def test_slash_in_span_name_rejected(self, registry):
-        with pytest.raises(ObsError):
-            registry.span("a/b")
+        with obs.use_registry(registry):
+            trace.install(seed=0)
+            with pytest.raises(ValueError):
+                with obs.region("outer.op.run") as outer:
+                    raise ValueError("boom")
+            # stack unwound: a new region starts a new trace
+            with obs.region("fresh.op.run") as fresh:
+                pass
+        assert registry.histogram("outer.op.run").count == 1
+        assert outer.elapsed is not None
+        assert fresh.parent_id is None
+        assert fresh.trace_id != outer.trace_id
 
 
 class TestSnapshotAndMerge:
@@ -108,7 +111,7 @@ class TestSnapshotAndMerge:
         registry.counter("c", kind="x").inc(3)
         registry.gauge("g").set(7)
         registry.histogram("h", boundaries=(1, 10)).observe(5)
-        with registry.span("s"):
+        with obs.use_registry(registry), obs.region("s"):
             pass
 
     def test_snapshot_is_json_serializable(self, registry):
@@ -124,11 +127,11 @@ class TestSnapshotAndMerge:
         target.merge(snapshot)
         merged = target.snapshot()
         assert obs.counter_total(merged, "c") == 6
-        histogram = merged["histograms"][0]
+        histogram, region = merged["histograms"]
         assert histogram["count"] == 2
         assert histogram["sum"] == pytest.approx(10)
         assert histogram["counts"] == [0, 2, 0]
-        assert merged["spans"][0]["count"] == 2
+        assert region["name"] == "s" and region["count"] == 2
 
     def test_merge_gauges_last_write_wins(self, registry):
         registry.gauge("g").set(7)
@@ -186,7 +189,7 @@ class TestSnapshotAndMerge:
         self._populate(registry)
         registry.reset()
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == [] and snapshot["spans"] == []
+        assert snapshot["counters"] == [] and snapshot["histograms"] == []
 
 
 class TestDefaultRegistry:
@@ -195,13 +198,12 @@ class TestDefaultRegistry:
             obs.inc("x")
             obs.set_gauge("y", 3)
             obs.observe("z", 1)
-            with obs.timer("t"):
-                pass
-            with obs.span("s"):
+            with obs.region("t"):
                 pass
             snapshot = registry.snapshot()
         assert obs.counter_total(snapshot, "x") == 1
         assert snapshot["gauges"][0]["value"] == 3
+        assert [entry["name"] for entry in snapshot["histograms"]] == ["t", "z"]
 
     def test_use_registry_isolates_and_restores(self):
         before = obs.get_registry()

@@ -87,14 +87,17 @@ class TestRenderPrometheus:
         assert "repro_h_lat_sum 8" in text
         assert "repro_h_lat_count 4" in text
 
-    def test_spans_expose_as_counter_pair(self):
+    def test_regions_expose_as_histograms(self):
         registry = Registry("t")
-        with registry.span("outer"):
-            with registry.span("inner"):
-                pass
+        with obs.use_registry(registry):
+            with obs.region("outer.op.run"):
+                with obs.region("inner.op.run"):
+                    pass
         text = render_prometheus(registry.snapshot())
-        assert 'repro_span_total{path="outer"} 1' in text
-        assert 'repro_span_seconds_total{path="outer/inner"}' in text
+        assert "# TYPE repro_outer_op_run histogram" in text
+        assert "repro_outer_op_run_count 1" in text
+        assert 'repro_inner_op_run_bucket{le="+Inf"} 1' in text
+        assert "repro_span" not in text
 
     def test_deterministic_for_same_snapshot(self):
         registry = Registry("t")
@@ -110,7 +113,7 @@ class TestRenderPrometheus:
     def test_global_helpers_snapshot_renders(self):
         with obs.use_registry():
             obs.inc("alex.feedback.processed", verdict="positive")
-            obs.observe("sparql.query.seconds", 0.01)
+            obs.observe("sparql.query.execute", 0.01)
             text = render_prometheus(obs.snapshot())
         assert validate_exposition(text) > 0
 
@@ -188,7 +191,7 @@ class TestFuzzRenderAlwaysValidates:
             "federation.requests": "counter",
             "pool.bytes.shipped": "counter",
             "cache.pressure": "gauge",
-            "sparql.query.seconds": "histogram",
+            "sparql.query.execute": "histogram",
         }
         label_values = ["a", 'quo"te', "back\\slash", "new\nline", "plain-1",
                         "ünïcode", ""]
@@ -210,7 +213,7 @@ class TestFuzzRenderAlwaysValidates:
                     for _ in range(rng.randint(0, 20)):
                         histogram.observe(rng.uniform(0, 100))
             if rng.random() < 0.5:
-                with registry.span("work"):
+                with obs.use_registry(registry), obs.region("work"):
                     pass
             text = render_prometheus(registry.snapshot())
             samples = validate_exposition(text)
@@ -218,3 +221,45 @@ class TestFuzzRenderAlwaysValidates:
                 1 for line in text.splitlines()
                 if line and not line.startswith("#")
             )
+
+
+class TestRenamedNames:
+    """The 2.0.0 rename table of docs/observability.md, checked against the
+    exposition of the ``repro stats`` workload (after a one-episode
+    scenario in the same registry, so ``run_scenario``'s region shows up)."""
+
+    #: (old exposed name, new exposed name or None when removed)
+    RENAMED = [
+        ("repro_sparql_query_seconds", "repro_sparql_query_execute"),
+        ("repro_federation_query_seconds", "repro_federation_query_execute"),
+        ('repro_span_total{path="episode"}', "repro_alex_episode_run"),
+        ('repro_span_total{path="episode/explore"}', "repro_alex_episode_explore"),
+        ('repro_span_total{path="scenario"}', "repro_experiments_scenario_run"),
+        ("repro_span_total", None),
+        ("repro_span_seconds_total", None),
+    ]
+
+    def test_table_documented(self):
+        from pathlib import Path
+
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "observability.md").read_text()
+        for old, new in self.RENAMED:
+            assert f"`{old}`" in doc
+            if new is not None:
+                assert f"`{new}`" in doc
+
+    def test_stats_exposition_uses_new_names(self, tmp_path, capsys):
+        from repro.cli import main
+
+        prom = tmp_path / "metrics.prom"
+        with obs.use_registry():
+            assert main(["run", "fig4d", "--max-episodes", "1"]) == 0
+            assert main(["stats", "--episodes", "2", "--prom-out", str(prom)]) == 0
+        capsys.readouterr()
+        text = prom.read_text()
+        assert validate_exposition(text) > 0
+        for old, new in self.RENAMED:
+            assert old not in text
+            if new is not None:
+                assert f"# TYPE {new} histogram" in text
+                assert f"{new}_count " in text

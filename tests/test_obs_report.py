@@ -62,7 +62,7 @@ class TestBuildSample:
     def test_sample_is_json_serializable(self):
         registry = Registry("t")
         registry.counter("c").inc()
-        with registry.span("s"):
+        with obs.use_registry(registry), obs.region("s"):
             pass
         sample = build_sample(registry.snapshot(), None, 0.5, seq=1, wall=1.0)
         assert json.loads(json.dumps(sample)) == sample

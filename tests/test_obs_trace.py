@@ -15,14 +15,22 @@ from repro.obs.trace import (
 )
 
 
+@pytest.fixture()
+def traced():
+    """Install a tracer (``traced(seed=..., sample=...)``) on a fresh
+    registry, so ``obs.region`` records trace spans into it."""
+    with obs.use_registry(obs.Registry("traced")):
+        yield trace.install
+
+
 class TestTracerBasics:
-    def test_span_assigns_trace_and_span_ids(self):
-        tracer = Tracer(seed=0)
-        with tracer.span("outer.op.run") as outer:
+    def test_span_assigns_trace_and_span_ids(self, traced):
+        tracer = traced(seed=0)
+        with obs.region("outer.op.run") as outer:
             assert outer.sampled
             assert outer.trace_id is not None
             assert outer.parent_id is None
-            with tracer.span("inner.op.run") as inner:
+            with obs.region("inner.op.run") as inner:
                 assert inner.trace_id == outer.trace_id
                 assert inner.parent_id == outer.span_id
         records = tracer.records()
@@ -31,9 +39,9 @@ class TestTracerBasics:
         assert records[0]["parent"] == records[1]["span"]
         assert records[1]["parent"] is None
 
-    def test_event_attaches_to_innermost_span(self):
-        tracer = Tracer(seed=0)
-        with tracer.span("outer.op.run"), tracer.span("inner.op.run") as inner:
+    def test_event_attaches_to_innermost_span(self, traced):
+        tracer = traced(seed=0)
+        with obs.region("outer.op.run"), obs.region("inner.op.run") as inner:
             tracer.event("thing.happened", value=3)
         event = next(r for r in tracer.records() if r["kind"] == "event")
         assert event["trace"] == inner.trace_id
@@ -48,10 +56,10 @@ class TestTracerBasics:
         assert record["parent"] is None
         assert record["kind"] == "event"
 
-    def test_exception_inside_span_records_error_attr(self):
-        tracer = Tracer(seed=0)
+    def test_exception_inside_span_records_error_attr(self, traced):
+        tracer = traced(seed=0)
         with pytest.raises(ValueError):
-            with tracer.span("bad.op.run"):
+            with obs.region("bad.op.run"):
                 raise ValueError("boom")
         (record,) = tracer.records()
         assert record["attrs"]["error"] == "ValueError"
@@ -79,33 +87,35 @@ class TestTracerBasics:
 
 class TestDeterminism:
     def test_seeded_tracers_produce_identical_ids(self):
-        def run(tracer):
-            with tracer.span("a.b.c", n=1):
-                tracer.event("a.b.d")
-                with tracer.span("a.b.e"):
-                    pass
+        def run(seed):
+            with obs.use_registry():
+                tracer = trace.install(seed=seed)
+                with obs.region("a.b.c", n=1):
+                    tracer.event("a.b.d")
+                    with obs.region("a.b.e"):
+                        pass
             return [(r["trace"], r["span"], r["parent"]) for r in tracer.records()]
 
-        assert run(Tracer(seed=42)) == run(Tracer(seed=42))
-        assert run(Tracer(seed=42)) != run(Tracer(seed=43))
+        assert run(42) == run(42)
+        assert run(42) != run(43)
 
 
 class TestSampling:
-    def test_sample_zero_records_nothing(self):
-        tracer = Tracer(sample=0.0, seed=0)
-        with tracer.span("never.kept.run") as handle:
+    def test_sample_zero_records_nothing(self, traced):
+        tracer = traced(sample=0.0, seed=0)
+        with obs.region("never.kept.run") as handle:
             assert not handle.sampled
             assert handle.trace_id is None
             tracer.event("inner.event.fired")
             handle.event("direct.event.fired")
         assert len(tracer) == 0
 
-    def test_sampling_decision_made_at_root_and_inherited(self):
-        tracer = Tracer(sample=0.5, seed=1)
+    def test_sampling_decision_made_at_root_and_inherited(self, traced):
+        tracer = traced(sample=0.5, seed=1)
         kept = 0
         for _ in range(50):
-            with tracer.span("root.op.run") as root:
-                with tracer.span("child.op.run") as child:
+            with obs.region("root.op.run") as root:
+                with obs.region("child.op.run") as child:
                     assert child.sampled == root.sampled
                 kept += 1 if root.sampled else 0
         assert 0 < kept < 50
@@ -147,8 +157,10 @@ class TestPayloadAbsorb:
         assert len(holder) == 1
         # holder records nothing of its own
         holder.event("local.event.fired")
-        with holder.span("local.span.run"):
-            pass
+        with obs.use_registry() as registry:
+            registry.tracer = holder
+            with obs.region("local.span.run"):
+                pass
         assert len(holder) == 1
 
     def test_absorb_rejects_unknown_schema(self):
@@ -166,9 +178,9 @@ class TestPayloadAbsorb:
 
 
 class TestJsonlRoundTrip:
-    def test_round_trip(self, tmp_path):
-        tracer = Tracer(seed=7)
-        with tracer.span("root.op.run", n=2):
+    def test_round_trip(self, tmp_path, traced):
+        tracer = traced(seed=7)
+        with obs.region("root.op.run", n=2):
             tracer.event("leaf.event.fired", q=0.5)
         path = str(tmp_path / "trace.jsonl")
         tracer.write_jsonl(path)
@@ -202,10 +214,12 @@ class TestModuleApi:
     def test_install_active_uninstall(self):
         with obs.use_registry(obs.Registry("t")):
             assert trace.active() is None
-            assert trace.span("noop.span.run") is trace._NOOP_SPAN
+            with obs.region("noop.span.run") as untraced:
+                assert trace.current_trace_id() is None
+            assert untraced.trace_id is None and untraced.elapsed is not None
             tracer = trace.install(seed=0)
             assert trace.active() is tracer
-            with trace.span("mod.api.run") as handle:
+            with obs.region("mod.api.run") as handle:
                 trace.event("mod.event.fired")
                 assert trace.current_trace_id() == handle.trace_id
             assert trace.current_trace_id() is None
@@ -254,12 +268,13 @@ class TestRegistryComposition:
 
 class TestRendering:
     def _tracer(self):
-        tracer = Tracer(seed=0)
-        with tracer.span("root.op.run"):
-            tracer.event("leaf.event.fired", k="v")
-            with tracer.span("child.op.run"):
-                pass
-        tracer.event("orphan.event.fired")
+        with obs.use_registry():
+            tracer = trace.install(seed=0)
+            with obs.region("root.op.run"):
+                tracer.event("leaf.event.fired", k="v")
+                with obs.region("child.op.run"):
+                    pass
+            tracer.event("orphan.event.fired")
         return tracer
 
     def test_render_summary_counts_and_slowest(self):

@@ -67,6 +67,17 @@ class TestQueryStatsCollection:
         second = prepare(SELECT).execute(graph)
         assert second.stats.plan_cache_hit is True
 
+    def test_failed_execute_leaves_no_stale_plan_cache_note(self, graph, accounted):
+        class FailingGraph:
+            def __getattr__(self, name):
+                raise RuntimeError("graph unavailable")
+
+        query = prepare(SELECT)  # a miss: notes plan_cache_hit=False
+        with pytest.raises(RuntimeError):
+            query.execute(FailingGraph())
+        # reusing the prepared query runs no prepare(), so there is no note
+        assert query.execute(graph).stats.plan_cache_hit is None
+
     def test_ask_and_construct_stats(self, graph, accounted):
         assert prepare("ASK { ?s ?p ?o }").execute(graph) is True
         constructed = prepare(

@@ -1,6 +1,6 @@
 """Analyzer infrastructure: baseline machinery, output formats, the
 diagnostics-registry integration, the committed baseline/writers.json
-artifacts, and the lint_repro deprecation wrapper."""
+artifacts, and the standalone repo-rules command."""
 
 from __future__ import annotations
 
@@ -196,7 +196,7 @@ def test_committed_lock_inventory_matches_a_live_run():
         "src/repro/sparql/prepared.py::<module>",
     } <= set(live)
     registry = live["src/repro/obs/registry.py::Registry"]["locks"]["_lock"]
-    assert registry["guards"] == ["_instruments", "_spans"]
+    assert registry["guards"] == ["_instruments"]
 
 
 def test_findings_and_inventories_are_deterministic():
@@ -257,14 +257,16 @@ def test_render_sarif_shape():
         assert rule_ids[result["ruleIndex"]] == result["ruleId"]
 
 
-# -- the deprecation wrapper and CLI ------------------------------------------
+# -- the standalone repo-rules command and CLI ---------------------------------
 
 
 def test_lint_repro_wrapper_runs_standalone_and_clean():
-    """The historical invocation — no PYTHONPATH, exit 0 on a clean tree."""
+    """The CI repo-rules command — only ``tools`` on the path, so the repro
+    package is not importable — exits 0 on a clean tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "tools")
     completed = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "tools", "lint_repro.py")],
+        [sys.executable, "-m", "repro_analyzer", "--rules", "repo", "--baseline", "none"],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr

@@ -17,7 +17,7 @@ from repro.core.policy import EpsilonGreedyPolicy
 from repro.errors import FederationError
 from repro.features import FeatureSpace
 from repro.federation import Endpoint, FederatedEngine
-from repro.feedback import FeedbackSession, GroundTruthOracle
+from repro.feedback import FeedbackSession, GroundTruthOracle, QueryFeedbackSession
 from repro.links import Link, LinkSet
 from repro.obs import trace
 from repro.rdf import turtle
@@ -175,7 +175,57 @@ class TestSessionSpans:
             tracer = trace.install(seed=0)
             engine = AlexEngine(space, LinkSet([link(0, 0)]), rollback_config())
             engine.process_feedback(link(0, 0), positive=True)
-        assert all(r["trace"] is None for r in tracer.records())
+        records = tracer.records()
+        events = [r for r in records if r["kind"] == "event"]
+        assert {"alex.link.approve", "alex.feature.select"} <= {r["name"] for r in events}
+        assert all(r["trace"] is None for r in events)
+        # the explore step's own span is the only traced record: a root
+        # with nothing under it
+        spans = [r for r in records if r["kind"] == "span"]
+        assert [r["name"] for r in spans] == ["alex.episode.explore"]
+        assert spans[0]["parent"] is None
+
+    def test_query_feedback_engine_keeps_its_audit_under_sampling(self, space):
+        graph_left = turtle.load(
+            "".join(
+                f'<http://a/res/e{i}> <{LEFT_NAME}> "{name}" .\n'
+                for i, name in enumerate(["Alpha Jones", "Bravo Jones", "Carol Jones"])
+            ),
+            name="left",
+        )
+        graph_right = turtle.load(
+            "".join(
+                f'<http://b/res/e{i}> <{RIGHT_NAME}> "{name}" .\n'
+                for i, name in enumerate(["Alpha Jones", "Bravo Jones", "Carol Jones"])
+            ),
+            name="right",
+        )
+        query = f"SELECT ?p ?n ?m WHERE {{ ?p <{LEFT_NAME}> ?n . ?p <{RIGHT_NAME}> ?m . }}"
+        truth = LinkSet([link(i, i) for i in range(5)])
+
+        def engine_events(sample):
+            with obs.use_registry(obs.Registry("t")):
+                tracer = trace.install(sample=sample, seed=0)
+                engine = AlexEngine(space, LinkSet([link(0, 0)]), rollback_config())
+                federation = FederatedEngine(
+                    [Endpoint(graph_left, name="left"), Endpoint(graph_right, name="right")],
+                    engine.candidates,
+                )
+                session = QueryFeedbackSession(engine, federation, GroundTruthOracle(truth))
+                for _ in range(2):
+                    session.submit_query(query)
+            return [
+                (r["name"], r["attrs"], r["trace"])
+                for r in tracer.records()
+                if r["name"].startswith("alex.") and r["kind"] == "event"
+            ]
+
+        full = engine_events(1.0)
+        assert "alex.link.discover" in {name for name, _, _ in full}
+        # The federated queries are the sampled traces; the engine's
+        # feedback and explore events sit outside them, trace-less, so
+        # no sample rate drops a link's audit.
+        assert engine_events(0.0) == engine_events(0.5) == full
 
 
 class TestTracingChangesNothing:
@@ -338,7 +388,7 @@ class TestFederationTracing:
     def test_federation_error_captures_active_trace_id(self):
         with obs.use_registry(obs.Registry("t")):
             tracer = trace.install(seed=0)
-            with tracer.span("federation.query.execute") as span:
+            with obs.region("federation.query.execute") as span:
                 error = FederationError("endpoint fell over")
             assert error.trace_id == span.trace_id
             outside = FederationError("no trace active")

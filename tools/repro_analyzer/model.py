@@ -7,8 +7,8 @@ can emit and inspects one parsed module at a time through a
 every pass needs (parent links, enclosing-function lookup, loop depth).
 
 The module deliberately has **no dependency on the repro package**: the
-repo-invariant wrapper (``tools/lint_repro.py``) must run in CI jobs that
-never set ``PYTHONPATH=src``. Severity names mirror
+repo-invariant rules (``python -m repro_analyzer --rules repo``) must run
+in CI jobs that never set ``PYTHONPATH=src``. Severity names mirror
 ``repro.diagnostics.SEVERITIES`` and the driver cross-registers the code
 table when ``repro`` is importable (see :mod:`repro_analyzer.codes`).
 """
@@ -197,8 +197,9 @@ class AnalyzerConfig:
 
     #: Guard variable names whose ``is not None`` test exempts the guarded
     #: block from the C030/C031 cost lints (deliberate, off-by-default
-    #: instrumentation such as tracers and EXPLAIN observers).
-    cost_guard_names: tuple[str, ...] = ("tracer", "observer")
+    #: instrumentation such as tracers and the executor's per-operator
+    #: records).
+    cost_guard_names: tuple[str, ...] = ("tracer", "records")
 
     #: Dotted call patterns the C042 check treats as blocking. Multi-part
     #: entries match by attribute-chain suffix (``time.sleep`` matches
@@ -322,8 +323,8 @@ class Pass:
     A pass declares ``name`` and its ``codes`` table (code ->
     (severity, summary)) and implements :meth:`run`, returning findings for
     one module. Docs for each code live in ``docs/diagnostics.md`` under
-    the ``#alex-cNNN`` anchors (R-rules keep their historical docs in the
-    module docstring of ``tools/lint_repro.py``).
+    the ``#alex-cNNN`` anchors (R-rules are documented in
+    :mod:`repro_analyzer.rules_repo` and ``docs/diagnostics.md``).
     """
 
     name: str = "pass"
