@@ -103,7 +103,10 @@ def engine_to_dict(engine: AlexEngine) -> dict:
         "ledger": [
             {
                 "state_action": _state_action_to_json(state_action),
-                "links": [_link_to_json(link) for link in ledger.generated_by(state_action)],
+                "links": sorted(
+                    (_link_to_json(link) for link in ledger.generated_by(state_action)),
+                    key=tuple,
+                ),
                 "negatives": ledger.negatives(state_action),
                 "positives": ledger.positives(state_action),
             }
@@ -117,9 +120,12 @@ def engine_to_dict(engine: AlexEngine) -> dict:
                 "return_sum": distinctiveness._return_sum.get(feature, 0.0),
                 "return_count": distinctiveness._return_count.get(feature, 0),
             }
-            for feature in set(distinctiveness._return_count)
-            | set(distinctiveness._negatives)
-            | set(distinctiveness._positives)
+            for feature in sorted(
+                set(distinctiveness._return_count)
+                | set(distinctiveness._negatives)
+                | set(distinctiveness._positives),
+                key=_key_to_json,
+            )
         ],
         "episodes_completed": engine.episodes_completed,
         "converged_at": engine.converged_at,

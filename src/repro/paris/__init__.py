@@ -1,13 +1,11 @@
 """Simplified PARIS: probabilistic instance alignment for initial links."""
 
 from repro.paris.align import DEFAULT_EVIDENCE_TAU, ParisAligner, paris_links
-from repro.paris.model import RelationStatistics, ValueIndex, literal_key
+from repro.paris.model import RelationStatistics
 
 __all__ = [
     "DEFAULT_EVIDENCE_TAU",
     "ParisAligner",
     "RelationStatistics",
-    "ValueIndex",
-    "literal_key",
     "paris_links",
 ]

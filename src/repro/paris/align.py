@@ -24,14 +24,21 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro import obs
 from repro.errors import LinkingError
 from repro.features.blocking import blocked_pairs
+from repro.features.feature_set import similarity_matrix_prepared
 from repro.links import Link, LinkSet
 from repro.paris.model import RelationStatistics
 from repro.rdf.entity import Entity, entities_of
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Literal, URIRef
-from repro.similarity.generic import object_similarity
+from repro.rdf.terms import URIRef
+from repro.similarity.prepared import (
+    PreparedEntity,
+    clear_caches,
+    flush_similarity_stats,
+    prepare_entity,
+)
 
 #: Value-match threshold for evidence (high: PARIS uses shared *values*).
 DEFAULT_EVIDENCE_TAU = 0.8
@@ -71,45 +78,55 @@ class ParisAligner:
         set at a permissive score reproduces the low-precision/high-recall
         starting condition of the paper's Figure 2(b).
         """
-        left_entities = list(entities_of(self.left))
-        right_entities = list(entities_of(self.right))
-        candidates = list(blocked_pairs(left_entities, right_entities))
-        if not candidates:
-            return LinkSet(name="paris")
+        with obs.region("paris.run"):
+            left_entities = list(entities_of(self.left))
+            right_entities = list(entities_of(self.right))
+            candidates = list(blocked_pairs(left_entities, right_entities))
+            if not candidates:
+                return LinkSet(name="paris")
 
-        evidence = self._collect_evidence(candidates)
-        equivalence: dict[Link, float] = {}
-        for _ in range(self.iterations):
-            equivalence = self._estimate_equivalence(evidence)
-            self._update_alignment(evidence, equivalence)
-        if mutual_best:
-            return self._assign(equivalence)
-        out = LinkSet(name="paris")
-        for link, probability in equivalence.items():
-            out.add(link, probability)
-        return out
+            evidence = self._collect_evidence(candidates)
+            equivalence: dict[Link, float] = {}
+            for _ in range(self.iterations):
+                equivalence = self._estimate_equivalence(evidence)
+                self._update_alignment(evidence, equivalence)
+            if mutual_best:
+                return self._assign(equivalence)
+            out = LinkSet(name="paris")
+            for link, probability in equivalence.items():
+                out.add(link, probability)
+            return out
 
     # ------------------------------------------------------------------ #
 
     def _collect_evidence(
         self, candidates: list[tuple[Entity, Entity]]
     ) -> dict[Link, list[tuple[URIRef, URIRef, float]]]:
-        """Per candidate pair, the list of (r1, r2, sim) value matches ≥ τ."""
+        """Per candidate pair, the list of (r1, r2, sim) value matches ≥ τ.
+
+        ``sim`` is the best object similarity of the two attributes, from
+        the prepared scorer the feature-space build uses. Its matrix keeps
+        attribute-pair order, which the equivalence product depends on.
+        The scorer's memos are released before returning: they are pure
+        caches, so dropping them changes no score, and kept they would stay
+        resident for the rest of the process.
+        """
+        prepared: dict[Entity, PreparedEntity] = {}
         evidence: dict[Link, list[tuple[URIRef, URIRef, float]]] = {}
         for left_entity, right_entity in candidates:
-            matches: list[tuple[URIRef, URIRef, float]] = []
-            for r1, objects1 in left_entity.attributes.items():
-                for r2, objects2 in right_entity.attributes.items():
-                    best = 0.0
-                    for o1 in objects1:
-                        for o2 in objects2:
-                            score = object_similarity(o1, o2)
-                            if score > best:
-                                best = score
-                    if best >= self.evidence_tau:
-                        matches.append((r1, r2, best))
-            if matches:
-                evidence[Link(left_entity.uri, right_entity.uri)] = matches
+            prepared_left = prepared.get(left_entity)
+            if prepared_left is None:
+                prepared_left = prepared[left_entity] = prepare_entity(left_entity)
+            prepared_right = prepared.get(right_entity)
+            if prepared_right is None:
+                prepared_right = prepared[right_entity] = prepare_entity(right_entity)
+            matrix = similarity_matrix_prepared(prepared_left, prepared_right, self.evidence_tau)
+            if matrix:
+                evidence[Link(left_entity.uri, right_entity.uri)] = [
+                    (r1, r2, score) for (r1, r2), score in matrix.items()
+                ]
+        flush_similarity_stats()
+        clear_caches()
         return evidence
 
     def _alignment_of(self, r1: URIRef, r2: URIRef) -> float:

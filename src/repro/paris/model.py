@@ -1,4 +1,4 @@
-"""Statistics underlying PARIS: relation functionality and value evidence.
+"""Statistics underlying PARIS: relation (inverse) functionality.
 
 PARIS (Suchanek, Abiteboul, Senellart; PVLDB 5(3), 2011) scores entity
 equivalence from shared attribute values, weighted by how *identifying* the
@@ -20,8 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Literal, URIRef
-from repro.similarity.strings import normalize, tokens
+from repro.rdf.terms import URIRef
 
 
 class RelationStatistics:
@@ -49,32 +48,3 @@ class RelationStatistics:
 
     def relations(self) -> list[URIRef]:
         return sorted(self._functionality, key=lambda r: r.value)
-
-
-def literal_key(literal: Literal) -> str:
-    """Normalization used for exact-value evidence: case/space-folded text."""
-    return normalize(literal.lexical)
-
-
-class ValueIndex:
-    """Index from normalized literal values to the (subject, relation) pairs
-    carrying them — the shared-value evidence generator."""
-
-    def __init__(self, graph: Graph):
-        self._by_value: dict[str, list[tuple]] = defaultdict(list)
-        for triple in graph.triples():
-            if isinstance(triple.object, Literal):
-                key = literal_key(triple.object)
-                if key:
-                    self._by_value[key].append((triple.subject, triple.predicate, triple.object))
-
-    def carriers(self, literal: Literal) -> list[tuple]:
-        """All (subject, relation, object) carrying a value equal (after
-        normalization) to ``literal``."""
-        return self._by_value.get(literal_key(literal), [])
-
-    def values(self) -> list[str]:
-        return sorted(self._by_value)
-
-    def __len__(self) -> int:
-        return len(self._by_value)

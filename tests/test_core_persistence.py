@@ -1,6 +1,9 @@
 """Tests for engine state save/load (the AlexEngine method API)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +106,43 @@ class TestRoundTrip:
         first = json.dumps(trained_engine.to_dict(), sort_keys=True)
         second = json.dumps(trained_engine.to_dict(), sort_keys=True)
         assert first == second
+
+
+#: Three seeded episodes on the smallest catalog pair, saved to argv[1].
+_SEEDED_SAVE = """
+import sys
+from repro import (AlexConfig, AlexEngine, FeatureSpace, FeedbackSession,
+                   GroundTruthOracle, load_pair, paris_links)
+pair = load_pair("opencyc_nba_nytimes")
+engine = AlexEngine(
+    FeatureSpace.build(pair.left, pair.right),
+    paris_links(pair.left, pair.right, score_threshold=0.8),
+    AlexConfig(episode_size=20, seed=1),
+)
+FeedbackSession(engine, GroundTruthOracle(pair.ground_truth), seed=1).run(
+    episode_size=20, max_episodes=3
+)
+engine.save(sys.argv[1])
+"""
+
+
+class TestHashSeedIndependence:
+    def test_save_bytes_identical_across_hash_seeds(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        saved = []
+        for hash_seed in ("0", "1"):
+            path = tmp_path / f"engine-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c", _SEEDED_SAVE, str(path)],
+                check=True, env=env, timeout=300,
+            )
+            saved.append(path.read_bytes())
+        state = json.loads(saved[0])
+        # the run fills both set-backed sections with several entries
+        assert len(state["distinctiveness"]) > 1
+        assert any(len(entry["links"]) > 1 for entry in state["ledger"])
+        assert saved[0] == saved[1]
 
 
 class TestDeprecatedShims:

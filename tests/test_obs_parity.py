@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.core import AlexConfig, AlexEngine
+from repro.core.workers import shutdown_shared_pool
 from repro.features import FeatureSpace
 from repro.feedback import FeedbackSession, GroundTruthOracle
 from repro.links import Link, LinkSet
@@ -58,6 +59,10 @@ def graph():
 def run_workload(space, graph, enabled, tmp_path, tag):
     """One seeded feedback + query workload; returns its observable outputs."""
     clear_plan_cache()
+    # every run starts with no shared pool alive: a pool left by an earlier
+    # test would be shut down by this run's engine.close() only, setting
+    # its pool.workers.alive gauge in this run's registry alone
+    shutdown_shared_pool()
     with obs.use_registry(obs.Registry(tag)) as registry:
         if enabled:
             accounting.enable()

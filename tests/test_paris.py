@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro import obs
+from repro.datasets import catalog_keys, load_pair
 from repro.errors import LinkingError
+from repro.features.blocking import blocked_pairs
 from repro.links import Link
-from repro.paris import ParisAligner, RelationStatistics, ValueIndex, paris_links
+from repro.paris import ParisAligner, RelationStatistics, paris_links
 from repro.rdf import turtle
-from repro.rdf.terms import Literal, URIRef
+from repro.rdf.entity import entities_of
+from repro.rdf.terms import URIRef
+from repro.similarity.generic import object_similarity
+from repro.similarity.prepared import cache_info, clear_caches
 
 
 @pytest.fixture()
@@ -50,18 +56,6 @@ class TestRelationStatistics:
     def test_unknown_relation(self, left):
         stats = RelationStatistics(left)
         assert stats.functionality(URIRef("http://a/ont/none")) == 0.0
-
-
-class TestValueIndex:
-    def test_carriers(self, left):
-        index = ValueIndex(left)
-        carriers = index.carriers(Literal("lebron james"))
-        assert len(carriers) == 1
-        assert carriers[0][0] == URIRef("http://a/res/lebron")
-
-    def test_normalization(self, left):
-        index = ValueIndex(left)
-        assert index.carriers(Literal("LEBRON   JAMES"))
 
 
 class TestAligner:
@@ -109,3 +103,87 @@ class TestAligner:
         assert len(strict) <= len(loose)
         for link in strict:
             assert link in loose
+
+
+# --------------------------------------------------------------------- #
+# Parity with the naive evidence loop
+# --------------------------------------------------------------------- #
+
+
+def naive_evidence(candidates, tau):
+    """Parity oracle for ``ParisAligner._collect_evidence``, on the generic
+    ``object_similarity``: per blocked pair, every attribute pair's best
+    object similarity ≥ τ, in attribute order."""
+    evidence = {}
+    for left_entity, right_entity in candidates:
+        matches = []
+        for r1, objects1 in left_entity.attributes.items():
+            for r2, objects2 in right_entity.attributes.items():
+                best = 0.0
+                for o1 in objects1:
+                    for o2 in objects2:
+                        score = object_similarity(o1, o2)
+                        if score > best:
+                            best = score
+                if best >= tau:
+                    matches.append((r1, r2, best))
+        if matches:
+            evidence[Link(left_entity.uri, right_entity.uri)] = matches
+    return evidence
+
+
+class OracleAligner(ParisAligner):
+    def _collect_evidence(self, candidates):
+        return naive_evidence(candidates, self.evidence_tau)
+
+
+class TestNaiveParity:
+    @pytest.mark.parametrize("key", catalog_keys())
+    def test_evidence_equals_oracle_in_content_and_order(self, key):
+        pair = load_pair(key)
+        aligner = ParisAligner(pair.left, pair.right)
+        candidates = list(
+            blocked_pairs(list(entities_of(pair.left)), list(entities_of(pair.right)))
+        )[::8]
+        new = aligner._collect_evidence(candidates)
+        oracle = naive_evidence(candidates, aligner.evidence_tau)
+        assert new
+        # the equivalence score is a float product over each list, so the
+        # lists must match in order, not just as sets
+        assert list(new.items()) == list(oracle.items())
+
+    @pytest.mark.parametrize("key", ["opencyc_swdogfood", "opencyc_nba_nytimes"])
+    def test_run_equals_oracle_run(self, key):
+        pair = load_pair(key)
+        aligner = ParisAligner(pair.left, pair.right)
+        oracle = OracleAligner(pair.left, pair.right)
+        scored = aligner.run(mutual_best=False)
+        expected = oracle.run(mutual_best=False)
+        assert len(scored) > 0
+        assert {link: scored.score(link) for link in scored} == {
+            link: expected.score(link) for link in expected
+        }
+        assert aligner.relation_alignment() == oracle.relation_alignment()
+
+
+class TestScorerReleaseAndRegion:
+    def test_memos_released_after_paris_links(self, left, right):
+        paris_links(left, right)
+        info = cache_info()
+        assert info["score_entries"] == 0
+        assert info["attr_entries"] == 0
+
+    def test_one_region_per_call_and_scorer_tallies_flushed(self, left, right):
+        clear_caches()  # cold memos: every attribute pair is a miss
+        with obs.use_registry(obs.Registry("paris")) as registry:
+            paris_links(left, right)
+        snapshot = registry.snapshot()
+        runs = [h for h in snapshot["histograms"] if h["name"] == "paris.run"]
+        assert [h["count"] for h in runs] == [1]
+        misses = [
+            entry["value"]
+            for entry in snapshot["counters"]
+            if entry["name"] == "similarity.cache.misses"
+            and entry["labels"] == {"layer": "attribute"}
+        ]
+        assert misses and misses[0] > 0
