@@ -34,7 +34,6 @@ from repro.core import (
     PartitionedAlex,
     WorkerPool,
     build_space_parallel,
-    run_partitions_parallel,
     shared_pool,
     shutdown_shared_pool,
 )
@@ -73,7 +72,7 @@ from repro.sparql import (
     prepare,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AlexConfig",
@@ -114,7 +113,6 @@ __all__ = [
     "parse_query",
     "prepare",
     "quality_curve_table",
-    "run_partitions_parallel",
     "shared_pool",
     "shutdown_shared_pool",
     "trace",

@@ -4,11 +4,7 @@ from repro.core.config import BATCH_EPISODE_SIZE, DOMAIN_EPISODE_SIZE, AlexConfi
 from repro.core.engine import AlexEngine
 from repro.core.episode import Episode, EpisodeStats
 from repro.core.parallel import PartitionedAlex
-from repro.core.parallel_mp import (
-    PartitionOutcome,
-    build_space_parallel,
-    run_partitions_parallel,
-)
+from repro.core.parallel_mp import build_space_parallel
 from repro.core.persistence import (
     engine_from_dict,
     engine_load,
@@ -33,7 +29,6 @@ __all__ = [
     "EpsilonGreedyPolicy",
     "ExplorationAction",
     "ExplorationLedger",
-    "PartitionOutcome",
     "PartitionedAlex",
     "PolicyReport",
     "StateAction",
@@ -46,7 +41,6 @@ __all__ = [
     "engine_to_dict",
     "policy_report",
     "q_value_table",
-    "run_partitions_parallel",
     "shared_pool",
     "shutdown_shared_pool",
 ]

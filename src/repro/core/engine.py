@@ -108,19 +108,8 @@ class AlexEngine:
         return link in self.candidates or link in self.space
 
     # ------------------------------------------------------------------ #
-    # Worker pool lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------ #
-
-    def pool(self):
-        """The persistent worker pool, sized per this engine's config.
-
-        Lazy: no worker process exists until the first partitioned task
-        batch runs. Repeated calls (and repeated builds) reuse the same
-        pool — workers spawn once per engine lifetime.
-        """
-        from repro.core.workers import shared_pool
-
-        return shared_pool(self.config.pool_workers, self.config.pool_idle_timeout)
 
     def reporter(self):
         """The engine-owned background :class:`~repro.obs.Reporter`, or

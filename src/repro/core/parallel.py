@@ -30,9 +30,9 @@ def route(spaces: Sequence[FeatureSpace], link: Link) -> int:
     contains it, else a crc32 hash of its left entity.
 
     Links outside every filtered space (possible for initial candidates and
-    ground-truth links) still need an owner for removal bookkeeping. Both
-    partition runners route with this rule — :class:`PartitionedAlex` and
-    :func:`~repro.core.parallel_mp.run_partitions_parallel`.
+    ground-truth links) still need an owner for removal bookkeeping.
+    :class:`PartitionedAlex` places initial links and routes feedback with
+    this rule.
     """
     for index, space in enumerate(spaces):
         if link in space:

@@ -1,26 +1,18 @@
-"""True multi-core execution of partitioned ALEX (Section 6.2).
+"""Multi-process feature-space build on the persistent worker pool.
 
-The paper: "The different partitions can be independently explored in
-parallel, either on different CPU cores of the same machine or on multiple
-machines in a distributed setting." :class:`~repro.core.parallel.PartitionedAlex`
-runs partitions in-process; this module ships each partition to a worker
-process instead. Because partitions share nothing, the only coordination is
-the initial scatter and the final gather.
+The paper (Section 6.2) explores partitions "independently ... in
+parallel", which changes only wall-clock time, so
+:class:`~repro.core.parallel.PartitionedAlex` runs their feedback episodes
+in-process. The θ-filtered space build scores every blocked pair during
+set-up; :func:`build_space_parallel` splits that work across processes and
+is the worker pool's one call site.
 
-Both entry points run on the persistent :mod:`repro.core.workers` pool —
-workers spawn once and survive across builds — and partitions cross the
-process boundary **dictionary-encoded** (the flat-array wire format of
-:mod:`repro.similarity.prepared`), never as pickled entity objects:
-
-* :func:`build_space_parallel` ships each left chunk and the shared right
-  side as entity blobs; workers return scored feature-space deltas
-  (:func:`~repro.features.space.encode_space_delta`) plus their obs
-  snapshot, and the parent merges and freezes once.
-* :func:`run_partitions_parallel` ships each partition's feature space as a
-  space-delta blob; each worker runs a full feedback session against its
-  own slice of the ground truth (the paper's model: feedback "is directed
-  to all partitions" — a feedback item concerns exactly one link, hence
-  exactly one partition).
+The left side crosses the process boundary in chunks and the right side
+whole, both **dictionary-encoded** (the flat-array wire format of
+:mod:`repro.similarity.prepared`), never as pickled entity objects. Workers
+return scored feature-space deltas
+(:func:`~repro.features.space.encode_space_delta`) plus their obs snapshot,
+and the parent merges and freezes once.
 
 Workers memoize decoded blobs by digest, so the right side decodes once per
 worker lifetime however many chunks or builds flow through, and the
@@ -33,13 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.core.config import AlexConfig
-from repro.core.engine import AlexEngine
-from repro.core.parallel import route
 from repro.core.workers import WorkerPool, shared_pool
 from repro.errors import ConfigError
 from repro.features.feature_set import DEFAULT_THETA
@@ -49,26 +38,8 @@ from repro.features.space import (
     encode_space_delta,
     merge_spaces,
 )
-from repro.feedback.oracle import GroundTruthOracle, NoisyOracle
-from repro.feedback.session import FeedbackSession
-from repro.links import Link, LinkSet
-from repro.obs import trace
 from repro.rdf.entity import Entity
 from repro.similarity.prepared import decode_entities, encode_entities
-
-
-@dataclass
-class PartitionOutcome:
-    """Result of one partition's run."""
-
-    name: str
-    candidates: frozenset[Link]
-    episodes_run: int
-    converged_at: int | None
-    relaxed_converged_at: int | None
-    elapsed_seconds: float
-    #: the worker's obs registry snapshot; merged into the parent's registry
-    obs_snapshot: dict | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -125,9 +96,9 @@ def _score_space_partition(
     """Worker body: decode one partition, score it, encode the delta.
 
     Returns ``(delta_blob, obs_snapshot, wall_seconds, pairs_admitted)``.
-    Runs under an isolated obs registry (same pattern as feedback
-    partitions) so the worker's phase regions and cache counters travel back
-    in the snapshot and merge into the parent registry.
+    Runs under an isolated obs registry so the worker's phase regions and
+    cache counters travel back in the snapshot and merge into the parent
+    registry.
     """
     started = time.monotonic()
     with obs.use_registry(obs.Registry(name)) as registry:
@@ -161,7 +132,7 @@ def build_space_parallel(
     single-process build: blocking depends only on the right side, and the
     merge deduplicates by link. Worker obs snapshots (``space.build.*``
     phase regions, ``similarity.cache.*`` counters) merge into the caller's
-    registry, mirroring :func:`run_partitions_parallel`.
+    registry.
 
     ``workers`` controls the number of partitions; the pool itself sizes to
     the machine's CPUs and persists across calls (``pool=None`` uses the
@@ -221,135 +192,3 @@ def build_space_parallel(
         obs.inc("space.build.partitions", len(spaces))
         merged = merge_spaces(spaces)
     return merged
-
-
-# --------------------------------------------------------------------- #
-# Episode batch processing
-# --------------------------------------------------------------------- #
-
-
-def _run_partition(
-    space_blob: bytes,
-    initial_links: frozenset[Link],
-    ground_truth_links: frozenset[Link],
-    config: AlexConfig,
-    episode_size: int,
-    max_episodes: int,
-    feedback_seed: int,
-    error_rate: float,
-    name: str,
-    trace_config: tuple | None = None,
-) -> PartitionOutcome:
-    """Worker body: one partition, one engine, one session.
-
-    The partition's feature space arrives as a space-delta blob (the same
-    dictionary-encoded wire format the build path uses) and is frozen after
-    decoding — deterministic, since freezing sorts by value.
-
-    ``trace_config`` is ``(capacity, sample, seed)`` when the parent had a
-    tracer installed: the worker installs its own (per-partition seed) on
-    its scoped registry, and the audit events ride home inside the
-    ``obs_snapshot``'s ``events`` section.
-    """
-    # An isolated registry per partition: forked workers inherit the parent
-    # registry, and the inline (max_workers=1) path shares it — either way
-    # the partition's metrics must be its own, merged once at the gather.
-    with obs.use_registry(obs.Registry(name)) as registry:
-        if trace_config is not None:
-            capacity, sample, seed = trace_config
-            trace.install(capacity=capacity, sample=sample, seed=seed)
-        with obs.region("space.build.ship"):
-            space = decode_space_delta(space_blob)
-            space.freeze()
-        engine = AlexEngine(space, LinkSet(initial_links), config, name=name)
-        oracle: GroundTruthOracle | NoisyOracle = GroundTruthOracle(LinkSet(ground_truth_links))
-        if error_rate > 0.0:
-            oracle = NoisyOracle(oracle, error_rate, seed=feedback_seed)
-        session = FeedbackSession(engine, oracle, seed=feedback_seed)
-        episodes = session.run(episode_size=episode_size, max_episodes=max_episodes)
-        return PartitionOutcome(
-            name=name,
-            candidates=engine.candidates.snapshot(),
-            episodes_run=episodes,
-            converged_at=engine.converged_at,
-            relaxed_converged_at=engine.relaxed_converged_at,
-            elapsed_seconds=session.elapsed_seconds,
-            obs_snapshot=registry.snapshot(),
-        )
-
-
-def run_partitions_parallel(
-    spaces: Sequence[FeatureSpace],
-    initial_links: LinkSet,
-    ground_truth: LinkSet,
-    config: AlexConfig,
-    episode_size: int,
-    max_episodes: int,
-    max_workers: int | None = None,
-    feedback_seed: int = 3,
-    error_rate: float = 0.0,
-    pool: WorkerPool | None = None,
-) -> tuple[LinkSet, list[PartitionOutcome]]:
-    """Run every partition in its own process and merge the results.
-
-    Returns the union of all partitions' final candidate links plus the
-    per-partition outcomes. Links are routed to partitions by
-    :func:`~repro.core.parallel.route`, the rule
-    :class:`~repro.core.parallel.PartitionedAlex` uses. Partition work runs on
-    the persistent worker pool (``pool=None`` uses the process-shared one),
-    so consecutive runs reuse the same worker processes.
-    """
-    if not spaces:
-        raise ConfigError("run_partitions_parallel needs at least one space")
-
-    initial_per_partition: list[set[Link]] = [set() for _ in spaces]
-    for link in initial_links:
-        initial_per_partition[route(spaces, link)].add(link)
-    truth_per_partition: list[set[Link]] = [set() for _ in spaces]
-    for link in ground_truth:
-        truth_per_partition[route(spaces, link)].add(link)
-
-    parent_tracer = trace.active()
-    with obs.region("space.build.ship"):
-        space_blobs = [encode_space_delta(space) for space in spaces]
-        obs.inc("pool.bytes.shipped", sum(len(blob) for blob in space_blobs))
-    jobs = [
-        (
-            space_blobs[index],
-            frozenset(initial_per_partition[index]),
-            frozenset(truth_per_partition[index]),
-            config.replace(seed=config.seed + index),
-            episode_size,
-            max_episodes,
-            feedback_seed + index,
-            error_rate,
-            f"partition-{index}",
-            None
-            if parent_tracer is None
-            else (
-                parent_tracer.capacity,
-                parent_tracer.sample,
-                None if parent_tracer.seed is None else parent_tracer.seed + index + 1,
-            ),
-        )
-        for index in range(len(spaces))
-    ]
-
-    if max_workers == 1 or len(spaces) == 1:
-        outcomes = [_run_partition(*job) for job in jobs]
-    else:
-        if pool is None:
-            pool = shared_pool(max_workers)
-        outcomes = pool.run_tasks(_run_partition, jobs, label="episodes")
-
-    merged = LinkSet(name="parallel-merged")
-    obs.inc("parallel.partitions.run", len(outcomes))
-    for outcome in outcomes:
-        for link in outcome.candidates:
-            merged.add(link)
-        if outcome.obs_snapshot is not None:
-            # one whole-run snapshot: counters/histograms sum across
-            # partitions (gauges are last-write-wins — label per-partition
-            # breakdowns yourself if you need them)
-            obs.merge(outcome.obs_snapshot)
-    return merged, outcomes

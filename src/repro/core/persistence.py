@@ -30,6 +30,15 @@ from repro.rdf.terms import URIRef
 
 FORMAT_VERSION = 1
 
+#: Sections :func:`engine_from_dict` cannot rebuild an engine without.
+_REQUIRED_SECTIONS = (
+    "config", "candidates", "blacklist", "confirmed", "returns", "policy", "ledger",
+)
+
+#: Config fields that releases before 3.0.0 wrote into every state file and
+#: that :class:`AlexConfig` no longer defines; dropped so those files load.
+_RETIRED_CONFIG_FIELDS = ("pool_workers", "pool_idle_timeout")
+
 
 def _link_to_json(link: Link) -> list[str]:
     return [link.left.value, link.right.value]
@@ -133,12 +142,32 @@ def engine_to_dict(engine: AlexEngine) -> dict:
     }
 
 
+def _config_from_json(data) -> AlexConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"engine state 'config' must be a mapping, got {type(data).__name__}"
+        )
+    fields = {key: value for key, value in data.items() if key not in _RETIRED_CONFIG_FIELDS}
+    for key in fields:
+        if key not in AlexConfig.__dataclass_fields__:
+            raise ConfigError(f"engine state 'config' has unknown field {key!r}")
+    return AlexConfig(**fields)
+
+
 def engine_from_dict(space: FeatureSpace, state: dict) -> AlexEngine:
-    """Rebuild an engine from :func:`engine_to_dict` output and a space."""
+    """Rebuild an engine from :func:`engine_to_dict` output and a space.
+
+    Raises :class:`~repro.errors.ConfigError` for an unsupported format
+    version, a missing section, or a ``config`` that is not a mapping of
+    :class:`AlexConfig` fields.
+    """
     version = state.get("format_version")
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported engine state format version: {version!r}")
-    config = AlexConfig(**state["config"])
+    for section in _REQUIRED_SECTIONS:
+        if section not in state:
+            raise ConfigError(f"engine state has no {section!r} section")
+    config = _config_from_json(state["config"])
     candidates = LinkSet()
     for entry in state["candidates"]:
         candidates.add(_link_from_json(entry["link"]), entry.get("score"))

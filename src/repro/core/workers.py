@@ -1,8 +1,7 @@
-"""Persistent process pool for partitioned execution.
+"""Persistent process pool for the multi-process feature-space build.
 
-Before this module existed every parallel entry point
-(:func:`~repro.core.parallel_mp.build_space_parallel`,
-:func:`~repro.core.parallel_mp.run_partitions_parallel`) spawned a fresh
+Before this module existed the pool's one caller,
+:func:`~repro.core.parallel_mp.build_space_parallel`, spawned a fresh
 ``ProcessPoolExecutor`` per call, so process start-up and full-object
 pickling dominated the similarity work ALEX actually needs parallelized —
 ``BENCH_space.json`` recorded the multi-process build *losing* to the
@@ -289,17 +288,15 @@ _shared: WorkerPool | None = None
 _shared_lock = threading.Lock()
 
 
-def shared_pool(
-    workers: int | None = None, idle_timeout: float | None = None
-) -> WorkerPool:
-    """The process-wide pool every parallel entry point shares.
+def shared_pool(workers: int | None = None) -> WorkerPool:
+    """The process-wide pool that space builds share.
 
-    Created on first use and reused by space builds, episode partition runs
-    and federated fan-out alike — "workers spawn once per engine lifetime".
-    A request for more workers than the current pool holds replaces it with
-    a bigger one (the old workers are shut down); smaller requests reuse
-    the existing pool, so the pool only ever grows to the machine's CPU
-    count.
+    Created on first use and reused by every later build, so workers spawn
+    once per engine lifetime; it idles out after
+    :data:`DEFAULT_IDLE_TIMEOUT` seconds. A request for more workers than
+    the current pool holds replaces it with a bigger one (the old workers
+    are shut down); smaller requests reuse the existing pool, so the pool
+    only ever grows to the machine's CPU count.
     """
     global _shared
     requested = effective_size(workers)
@@ -308,8 +305,7 @@ def shared_pool(
         pool = _shared
         if pool is None or pool.stats()["size"] < requested:
             stale = pool
-            timeout = idle_timeout if idle_timeout is not None else DEFAULT_IDLE_TIMEOUT
-            pool = WorkerPool(requested, idle_timeout=timeout, name="shared")
+            pool = WorkerPool(requested, name="shared")
             _shared = pool
     if stale is not None:
         stale.shutdown()

@@ -4,10 +4,10 @@ When enabled (:func:`enable`; off by default), every
 :meth:`~repro.sparql.prepared.PreparedQuery.execute` and every
 :meth:`~repro.federation.executor.FederatedEngine.execute` builds one
 :class:`QueryStats` recording where the query's work went — rows scanned
-and joined per strategy, plan-cache hit, dictionary decodes, bytes shipped
-over the worker pool, wall seconds per phase — and attaches it to the
-result (``result.stats``). The slowlog (:mod:`repro.obs.slowlog`) stores
-the same breakdown with each slow entry.
+and joined per strategy, plan-cache hit, dictionary decodes, endpoint
+requests, wall seconds per phase — and attaches it to the result
+(``result.stats``). The slowlog (:mod:`repro.obs.slowlog`) stores the same
+breakdown with each slow entry.
 
 Contract: accounting is a pure listener. The executors take the exact
 same code paths with accounting on or off (a codec subclass counts
@@ -72,7 +72,7 @@ class QueryStats:
     strategies:
         Join strategy → ``{"patterns", "rows_in", "rows_out", "seconds"}``
         (``hash-join`` / ``index-nested-loop`` / ``path-scan``; federation
-        uses ``bound-join`` / ``bound-join-group`` / ``bound-join-fanout``).
+        uses ``bound-join`` / ``bound-join-group``).
     rows_out:
         Result rows (SELECT/federated), constructed triples (CONSTRUCT),
         or 0/1 (ASK).
@@ -81,9 +81,6 @@ class QueryStats:
         execute did not go through :func:`~repro.sparql.prepared.prepare`).
     decodes:
         ID→term dictionary decodes performed while materializing results.
-    bytes_shipped:
-        Worker-pool wire bytes attributable to this query (federated
-        fan-out; 0 for in-process execution).
     endpoint_requests:
         Endpoint requests issued (federated only).
     """
@@ -96,7 +93,6 @@ class QueryStats:
         "rows_out",
         "plan_cache_hit",
         "decodes",
-        "bytes_shipped",
         "endpoint_requests",
     )
 
@@ -108,7 +104,6 @@ class QueryStats:
         self.rows_out = 0
         self.plan_cache_hit: bool | None = None
         self.decodes = 0
-        self.bytes_shipped = 0.0
         self.endpoint_requests = 0
 
     def note_phase(self, op: str, seconds: float) -> None:
@@ -151,7 +146,6 @@ class QueryStats:
             "rows_out": self.rows_out,
             "plan_cache_hit": self.plan_cache_hit,
             "decodes": self.decodes,
-            "bytes_shipped": self.bytes_shipped,
             "endpoint_requests": self.endpoint_requests,
         }
 

@@ -137,7 +137,7 @@ class SlowLog:
             if detail:
                 hints = []
                 for key in ("rows_out", "decodes", "plan_cache_hit",
-                            "endpoint_requests", "bytes_shipped"):
+                            "endpoint_requests"):
                     value = detail.get(key)
                     if value not in (None, 0, 0.0):
                         hints.append(f"{key}={value}")

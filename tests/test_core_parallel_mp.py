@@ -1,16 +1,19 @@
-"""Tests for the multiprocessing partition runner (and pickling support)."""
+"""Tests for partitioned ALEX: pickling support for the worker pool, link
+routing, and run determinism regardless of build workers and hash seed."""
 
+import os
 import pickle
+import subprocess
+import sys
+import zlib
 
 import pytest
 
-from repro.core import AlexConfig
-from repro.core.parallel_mp import run_partitions_parallel
+from repro.core import AlexConfig, PartitionedAlex
+from repro.core.parallel import route
 from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
-from repro.errors import ConfigError
-from repro.evaluation import evaluate_links
 from repro.features import FeatureSpace, build_partitioned_spaces
-from repro.links import LinkSet
+from repro.links import Link, LinkSet
 from repro.paris import paris_links
 from repro.rdf.terms import BNode, Literal, URIRef
 
@@ -51,110 +54,65 @@ class TestPickling:
         assert clone == pair.ground_truth
 
 
-class TestParallelRun:
-    def test_parallel_matches_quality(self, pair):
-        spaces = build_partitioned_spaces(pair.left, pair.right, 2)
-        initial = paris_links(pair.left, pair.right, 0.8)
-        merged, outcomes = run_partitions_parallel(
-            spaces,
-            initial,
-            pair.ground_truth,
-            AlexConfig(episode_size=30, seed=5, rollback_min_negatives=3),
-            episode_size=30,
-            max_episodes=25,
-            max_workers=2,
-        )
-        assert len(outcomes) == 2
-        quality = evaluate_links(merged, pair.ground_truth)
-        assert quality.f_measure > 0.75
-
-    def test_sequential_fallback_deterministic(self, pair):
-        spaces = build_partitioned_spaces(pair.left, pair.right, 2)
-        initial = paris_links(pair.left, pair.right, 0.8)
-
-        def run():
-            merged, _ = run_partitions_parallel(
-                spaces, initial, pair.ground_truth,
-                AlexConfig(episode_size=20, seed=5, rollback_min_negatives=3),
-                episode_size=20, max_episodes=10, max_workers=1,
-            )
-            return merged.snapshot()
-
-        assert run() == run()
-
-    def test_parallel_equals_sequential(self, pair):
-        spaces = build_partitioned_spaces(pair.left, pair.right, 2)
-        initial = paris_links(pair.left, pair.right, 0.8)
-        config = AlexConfig(episode_size=20, seed=5, rollback_min_negatives=3)
-        sequential, _ = run_partitions_parallel(
-            spaces, initial, pair.ground_truth, config,
-            episode_size=20, max_episodes=10, max_workers=1,
-        )
-        parallel, _ = run_partitions_parallel(
-            spaces, initial, pair.ground_truth, config,
-            episode_size=20, max_episodes=10, max_workers=2,
-        )
-        assert sequential.snapshot() == parallel.snapshot()
-
-    def test_outcomes_carry_metadata(self, pair):
-        spaces = build_partitioned_spaces(pair.left, pair.right, 2)
-        merged, outcomes = run_partitions_parallel(
-            spaces, LinkSet(), pair.ground_truth,
-            AlexConfig(episode_size=10, seed=5),
-            episode_size=10, max_episodes=3, max_workers=1,
-        )
-        assert {outcome.name for outcome in outcomes} == {"partition-0", "partition-1"}
-        for outcome in outcomes:
-            assert outcome.episodes_run <= 3
-            assert outcome.elapsed_seconds >= 0.0
-
-    def test_empty_spaces_rejected(self, pair):
-        with pytest.raises(ConfigError):
-            run_partitions_parallel(
-                [], LinkSet(), pair.ground_truth,
-                AlexConfig(episode_size=10), episode_size=10, max_episodes=1,
-            )
-
-
 class TestRouting:
-    def test_both_runners_route_every_link_alike(self, pair, monkeypatch):
-        """PartitionedAlex and run_partitions_parallel give every initial
-        link, every ground-truth link, and a link outside every space the
-        same partition index."""
-        from repro.core import PartitionedAlex, parallel_mp
-        from repro.links import Link
-
+    def test_partitioned_alex_routes_every_link_by_route(self, pair):
+        """Every initial link sits in exactly the engine ``route()`` picks,
+        ground-truth links go to that engine too, and a link outside every
+        space goes to engine ``crc32(left) % n``."""
         spaces = build_partitioned_spaces(pair.left, pair.right, 3)
         assert len(spaces) == 3
         outside = Link(URIRef("http://left.example/nowhere"), URIRef("http://right.example/nowhere"))
         assert all(outside not in space for space in spaces)
         initial = LinkSet(list(paris_links(pair.left, pair.right, 0.8)) + [outside])
-        truth = LinkSet(list(pair.ground_truth) + [outside])
-        config = AlexConfig(episode_size=5, seed=5)
+        alex = PartitionedAlex(spaces, initial, AlexConfig(episode_size=5, seed=5))
 
-        shipped = []  # per partition job: (initial links, ground-truth links)
+        for link in initial:
+            holders = [i for i, engine in enumerate(alex.engines) if link in engine.candidates]
+            assert holders == [route(spaces, link)]
+        for link in pair.ground_truth:
+            engine = alex.engine_for(link)
+            assert engine is alex.engines[route(spaces, link)]
+            assert link in engine.space or all(link not in space for space in spaces)
+        owner = zlib.crc32(outside.left.value.encode()) % len(spaces)
+        assert alex.engine_for(outside) is alex.engines[owner]
+        assert outside in alex.engines[owner].candidates
 
-        def capture(space_blob, initial_links, ground_truth_links, *rest):
-            shipped.append((initial_links, ground_truth_links))
-            return parallel_mp.PartitionOutcome(
-                name=f"partition-{len(shipped) - 1}", candidates=frozenset(),
-                episodes_run=0, converged_at=None, relaxed_converged_at=None,
-                elapsed_seconds=0.0,
+
+#: A seeded PartitionedAlex session over the ``pair`` fixture's spec, its
+#: spaces built with argv[1] workers; prints the sorted final links.
+_SEEDED_PARTITIONED_RUN = """
+import sys
+from repro import (AlexConfig, FeedbackSession, GroundTruthOracle, PartitionedAlex,
+                   build_partitioned_spaces, paris_links)
+from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
+pair = generate_pair(PairSpec(
+    name="mp", left_name="left", right_name="right", profiles=(PERSON_PROFILE,),
+    n_shared=30, n_left_only=20, n_right_only=10, noise_left=0.1, noise_right=0.25,
+    seed=21,
+))
+spaces = build_partitioned_spaces(pair.left, pair.right, 2, workers=int(sys.argv[1]))
+alex = PartitionedAlex(
+    spaces, paris_links(pair.left, pair.right, 0.8),
+    AlexConfig(episode_size=20, seed=5, rollback_min_negatives=3),
+)
+FeedbackSession(alex, GroundTruthOracle(pair.ground_truth), seed=3).run(
+    episode_size=20, max_episodes=10
+)
+for left, right in sorted((link.left.value, link.right.value) for link in alex.candidates):
+    print(left, right)
+"""
+
+
+class TestDeterminism:
+    def test_links_identical_across_build_workers_and_hash_seeds(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for workers, hash_seed in (("1", "0"), ("2", "1")):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", _SEEDED_PARTITIONED_RUN, workers],
+                check=True, env=env, timeout=300, capture_output=True, text=True,
             )
-
-        monkeypatch.setattr(parallel_mp, "_run_partition", capture)
-        run_partitions_parallel(
-            spaces, initial, truth, config, episode_size=5, max_episodes=1, max_workers=1
-        )
-        alex = PartitionedAlex(spaces, initial, config)
-
-        assert len(shipped) == len(spaces)
-        assert set().union(*(links for links, _ in shipped)) == set(initial)
-        assert set().union(*(links for _, links in shipped)) == set(truth)
-        for index, (initial_part, truth_part) in enumerate(shipped):
-            for link in initial_part:
-                assert link in alex.engines[index].candidates
-            for link in initial_part | truth_part:
-                assert alex.engine_for(link) is alex.engines[index]
-        owner = alex.engines.index(alex.engine_for(outside))
-        assert outside in shipped[owner][0] and outside in shipped[owner][1]
+            outputs.append(completed.stdout)
+        assert len(outputs[0].splitlines()) > 0
+        assert outputs[0] == outputs[1]

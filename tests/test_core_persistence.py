@@ -108,6 +108,35 @@ class TestRoundTrip:
         assert first == second
 
 
+class TestStateValidation:
+    def test_pre_3_0_pool_fields_are_dropped(self, space, trained_engine):
+        state = trained_engine.to_dict()
+        old = json.loads(json.dumps(state))
+        old["config"].update(pool_workers=0, pool_idle_timeout=300.0)
+        assert AlexEngine.from_dict(space, old).to_dict() == state
+
+    @pytest.mark.parametrize(
+        "section", ["config", "candidates", "blacklist", "confirmed", "returns", "policy", "ledger"]
+    )
+    def test_missing_section_rejected(self, space, trained_engine, section):
+        state = trained_engine.to_dict()
+        del state[section]
+        with pytest.raises(ConfigError, match=repr(section)):
+            AlexEngine.from_dict(space, state)
+
+    def test_config_must_be_a_mapping(self, space, trained_engine):
+        state = trained_engine.to_dict()
+        state["config"] = "episode_size=15"
+        with pytest.raises(ConfigError, match="'config'"):
+            AlexEngine.from_dict(space, state)
+
+    def test_unknown_config_field_rejected(self, space, trained_engine):
+        state = trained_engine.to_dict()
+        state["config"]["episode_length"] = 15
+        with pytest.raises(ConfigError, match="'episode_length'"):
+            AlexEngine.from_dict(space, state)
+
+
 #: Three seeded episodes on the smallest catalog pair, saved to argv[1].
 _SEEDED_SAVE = """
 import sys

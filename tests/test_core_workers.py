@@ -1,9 +1,9 @@
 """Tests for the persistent worker pool and the dictionary-encoded wire format.
 
 Covers the pool lifecycle (lazy spawn, reuse across builds, idle shutdown,
-crash retry → in-process fallback), the entity/space/graph wire codecs
-(round trips, edge-case terms), fast vs fast-mp parity across seeds, the
-no-pickled-entities shipping contract, and the federated bound-join fan-out.
+crash retry → in-process fallback), the entity/space wire codecs (round
+trips, edge-case terms), fast vs fast-mp parity across seeds, and the
+no-pickled-entities shipping contract.
 """
 
 import os
@@ -15,15 +15,12 @@ from repro import obs
 from repro.core import AlexConfig
 from repro.core import workers as workers_mod
 from repro.core.engine import AlexEngine
-from repro.core.parallel_mp import build_space_parallel, run_partitions_parallel
+from repro.core.parallel_mp import build_space_parallel
 from repro.core.workers import WorkerPool, effective_size, shared_pool, shutdown_shared_pool
 from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.errors import ConfigError
 from repro.features.space import FeatureSpace, decode_space_delta, encode_space_delta
-from repro.federation.endpoint import Endpoint
-from repro.federation.executor import FederatedEngine
-from repro.federation.parallel import decode_graph, decode_links, encode_graph, encode_links
-from repro.links import Link, LinkSet
+from repro.links import LinkSet
 from repro.rdf.entity import Entity, entities_of
 from repro.rdf.terms import BNode, Literal, URIRef
 from repro.similarity.prepared import (
@@ -147,13 +144,6 @@ class TestWireFormat:
             assert decoded.feature_set(link) == space.feature_set(link)
         assert decoded.total_pairs_considered == space.total_pairs_considered
 
-    def test_graph_and_links_round_trip(self, pair):
-        graph = decode_graph(encode_graph(pair.left), name="clone")
-        assert len(graph) == len(pair.left)
-        assert set(graph.triples()) == set(pair.left.triples())
-        links = pair.ground_truth.snapshot()
-        assert decode_links(encode_links(links)).snapshot() == links
-
 
 class TestPoolLifecycle:
     def test_effective_size_clamps_to_cpus(self):
@@ -222,19 +212,13 @@ class TestPoolLifecycle:
 
     def test_engine_close_shuts_shared_pool(self, pair):
         space = FeatureSpace.build(pair.left, pair.right)
-        engine = AlexEngine(space, LinkSet(), AlexConfig(episode_size=10, pool_workers=2))
-        pool = engine.pool()
+        engine = AlexEngine(space, LinkSet(), AlexConfig(episode_size=10))
+        pool = shared_pool(2)
         pool.run_tasks(_double, [(3,)])
         assert pool.stats()["alive"] is True
         engine.close()
         assert pool.stats()["alive"] is False
         assert workers_mod._shared is None
-
-    def test_config_validates_pool_fields(self):
-        with pytest.raises(ConfigError):
-            AlexConfig(episode_size=10, pool_workers=-1)
-        with pytest.raises(ConfigError):
-            AlexConfig(episode_size=10, pool_idle_timeout=0.0)
 
 
 class TestCrashRobustness:
@@ -322,62 +306,3 @@ class TestBuildParity:
             assert s.bytes_shipped > 0
             assert s.wall_seconds >= 0.0
             assert 0 <= s.pairs_admitted <= s.pairs_considered
-
-    def test_episode_partitions_share_the_pool(self, pair):
-        from repro.features import build_partitioned_spaces
-        from repro.paris import paris_links
-
-        spaces = build_partitioned_spaces(pair.left, pair.right, 2)
-        initial = paris_links(pair.left, pair.right, 0.8)
-        config = AlexConfig(episode_size=10, seed=5)
-        pool = shared_pool(2)
-        generation_before = pool.stats()["generation"]
-        for _ in range(2):
-            run_partitions_parallel(
-                spaces, initial, pair.ground_truth, config,
-                episode_size=10, max_episodes=2, max_workers=2,
-            )
-        after = shared_pool(2)
-        assert after is pool
-        # at most one spawn (lazy first use); the second run reuses it
-        assert after.stats()["generation"] <= generation_before + 1
-        assert after.stats()["batches"] >= 2
-
-
-class TestFederationFanOut:
-    def _canonical(self, result):
-        return sorted(
-            (
-                tuple(sorted((v.name, t.n3()) for v, t in row.bindings.items())),
-                tuple(sorted(str(link) for link in row.links_used)),
-            )
-            for row in result.rows
-        )
-
-    def test_fan_out_matches_sequential(self, pair):
-        links = pair.ground_truth
-        predicates = sorted(pair.left.predicates(), key=str)
-        query = (
-            f"SELECT ?s ?o ?o2 WHERE {{ ?s <{predicates[0].value}> ?o . "
-            f"?s <{predicates[1].value}> ?o2 }}"
-        )
-        sequential = FederatedEngine(
-            [Endpoint(pair.left, "L"), Endpoint(pair.right, "R")], links
-        )
-        fanned = FederatedEngine(
-            [Endpoint(pair.left, "L"), Endpoint(pair.right, "R")], links, pool_workers=2
-        )
-        result_seq = sequential.select(query)
-        result_fan = fanned.select(query)
-        assert self._canonical(result_fan) == self._canonical(result_seq)
-        assert [e.request_count for e in fanned.endpoints] == [
-            e.request_count for e in sequential.endpoints
-        ]
-
-    def test_small_solution_sets_stay_in_process(self, pair):
-        predicates = sorted(pair.left.predicates(), key=str)
-        query = f"SELECT ?s ?o WHERE {{ <{next(iter(pair.left.entities())).value}> <{predicates[0].value}> ?o . ?s <{predicates[0].value}> ?o }}"
-        engine = FederatedEngine([Endpoint(pair.left, "L")], pool_workers=2)
-        engine.select(f"SELECT ?s WHERE {{ ?s <{predicates[0].value}> ?o }}")
-        # one-solution joins never touched the pool: no shared pool exists
-        assert workers_mod._shared is None or workers_mod._shared.stats()["batches"] == 0

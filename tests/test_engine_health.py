@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
-from repro.core.workers import peek_shared_pool, shutdown_shared_pool
+from repro.core.workers import peek_shared_pool, shared_pool, shutdown_shared_pool
 from repro.errors import ConfigError
 from repro.features.space import FeatureSpace
 from repro.links import Link, LinkSet
@@ -145,7 +145,7 @@ class TestHealth:
 
     def test_health_reports_live_pool_stats(self):
         engine, _, _ = _engine()
-        pool = engine.pool()
+        pool = shared_pool(2)
         pool.worker_pids()  # force a spawn
         health = engine.health()
         assert health["pool"]["spawned"] is True
