@@ -10,7 +10,6 @@ Subcommands::
     repro lint-query 'SELECT ...'            # static analysis (ALEX-* codes)
     repro lint-data DATA.nt [RIGHT.nt]       # RDF graph & link-set validation
     repro run SCENARIO                       # run one experiment scenario
-    repro bench [--suite space|sparql|all]   # parity-checked benchmarks
     repro figures all | FIGURE               # regenerate paper figures
     repro stats                              # exercise the stack, print obs metrics
     repro health                             # engine/pool/cache health as JSON
@@ -301,31 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_summary.add_argument("file", help="trace JSONL file")
     trace_summary.add_argument("--top", type=int, default=10, help="slowest spans to list")
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="benchmark a subsystem against its reference implementation, "
-        "prove parity, and write BENCH_<suite>.json",
-    )
-    bench.add_argument(
-        "--suite", choices=("space", "sparql", "all"), default="space",
-        help="space = feature-space construction (naive vs fast), "
-        "sparql = query engine (hash-join vs pre-1.6 reference); default: space",
-    )
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output JSON path (single suite only; "
-                       "default: BENCH_space.json / BENCH_sparql.json)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smallest bundle only — the CI smoke configuration")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="space suite: also sweep multi-process builds on "
-                       "the persistent pool at workers in {2, 4, ..., N} "
-                       "(cold + steady-state timings, per-partition stats)")
-    bench.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="exit non-zero unless every run suite's headline speedup "
-        "reaches this factor",
-    )
 
     figures = subparsers.add_parser("figures", help="regenerate paper figures")
     figures.add_argument("figure", help="'all', 'table1', or a figure id like fig2a / fig10")
@@ -927,39 +901,6 @@ _FIGURES = {
 }
 
 
-def _cmd_bench(
-    suite: str, out: str | None, quick: bool, workers: int, min_speedup: float
-) -> int:
-    from repro import bench, bench_sparql
-
-    suites = ("space", "sparql") if suite == "all" else (suite,)
-    if out is not None and len(suites) > 1:
-        print("error: --out requires a single --suite", file=sys.stderr)
-        return 2
-    failed = False
-    for name in suites:
-        module = bench if name == "space" else bench_sparql
-        if name == "space":
-            payload = module.run_bench(quick=quick, workers=workers)
-        else:
-            payload = module.run_bench(quick=quick)
-        path = out if out is not None else module.DEFAULT_OUT
-        module.write_payload(payload, path)
-        print(module.render_report(payload))
-        print(f"wrote {path}")
-        if not payload["parity"]["ok"]:
-            print(f"error: {name} suite parity check failed", file=sys.stderr)
-            failed = True
-        if min_speedup > 0 and (payload["speedup"] or 0.0) < min_speedup:
-            print(
-                f"error: {name} speedup {payload['speedup']}x below "
-                f"required {min_speedup}x",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
-
-
 def _cmd_figures(figure: str) -> int:
     import repro.experiments as experiments
 
@@ -1031,10 +972,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "slowlog":
             return _cmd_slowlog(
                 args.pair, args.episodes, args.threshold, args.top, args.json
-            )
-        if args.command == "bench":
-            return _cmd_bench(
-                args.suite, args.out, args.quick, args.workers, args.min_speedup
             )
         if args.command == "figures":
             return _cmd_figures(args.figure)

@@ -13,8 +13,8 @@ from repro.core.persistence import (
 )
 from repro.core.policy import EpsilonGreedyPolicy
 from repro.core.provenance import ExplorationLedger
-from repro.core.reporting import PolicyReport, policy_report, q_value_table
-from repro.core.state import ExplorationAction, StateAction, available_actions
+from repro.core.reporting import PolicyReport, policy_report
+from repro.core.state import StateAction, available_actions
 from repro.core.value import ActionValueTable
 from repro.core.workers import WorkerPool, shared_pool, shutdown_shared_pool
 
@@ -27,7 +27,6 @@ __all__ = [
     "Episode",
     "EpisodeStats",
     "EpsilonGreedyPolicy",
-    "ExplorationAction",
     "ExplorationLedger",
     "PartitionedAlex",
     "PolicyReport",
@@ -40,7 +39,6 @@ __all__ = [
     "engine_save",
     "engine_to_dict",
     "policy_report",
-    "q_value_table",
     "shared_pool",
     "shutdown_shared_pool",
 ]

@@ -24,8 +24,6 @@ rebuilds skip most of the string-metric work.
 from __future__ import annotations
 
 import hashlib
-import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
@@ -40,21 +38,6 @@ from repro.features.space import (
 )
 from repro.rdf.entity import Entity
 from repro.similarity.prepared import decode_entities, encode_entities
-
-
-@dataclass
-class PartitionBuildStats:
-    """Per-partition runtime facts from one space-build task.
-
-    These are the features runtime-approximation planners fit cost models
-    on (see PAPERS.md); the bench records them verbatim in its payload.
-    """
-
-    name: str
-    pairs_considered: int
-    pairs_admitted: int
-    bytes_shipped: int
-    wall_seconds: float
 
 
 # --------------------------------------------------------------------- #
@@ -90,27 +73,24 @@ def _score_space_partition(
     right_blob: bytes,
     theta: float,
     use_blocking: bool,
-    fast: bool,
     name: str,
-) -> tuple[bytes, dict, float, int]:
+) -> tuple[bytes, dict]:
     """Worker body: decode one partition, score it, encode the delta.
 
-    Returns ``(delta_blob, obs_snapshot, wall_seconds, pairs_admitted)``.
-    Runs under an isolated obs registry so the worker's phase regions and
-    cache counters travel back in the snapshot and merge into the parent
-    registry.
+    Returns ``(delta_blob, obs_snapshot)``. Runs under an isolated obs
+    registry so the worker's phase regions and cache counters travel back
+    in the snapshot and merge into the parent registry.
     """
-    started = time.monotonic()
     with obs.use_registry(obs.Registry(name)) as registry:
         with obs.region("space.build.ship"):
             left_chunk = _decode_entities_cached(left_blob)
             right_entities = _decode_entities_cached(right_blob)
         space = FeatureSpace._build_single_process(
-            left_chunk, right_entities, theta, use_blocking, fast, freeze=False
+            left_chunk, right_entities, theta, use_blocking, freeze=False
         )
         with obs.region("space.build.ship"):
             delta = encode_space_delta(space)
-        return delta, registry.snapshot(), time.monotonic() - started, space.size
+        return delta, registry.snapshot()
 
 
 def build_space_parallel(
@@ -119,10 +99,8 @@ def build_space_parallel(
     *,
     theta: float = DEFAULT_THETA,
     use_blocking: bool = True,
-    fast: bool = True,
     workers: int = 2,
     pool: WorkerPool | None = None,
-    stats_out: list[PartitionBuildStats] | None = None,
 ) -> FeatureSpace:
     """Build a :class:`FeatureSpace` with the left side split across processes.
 
@@ -136,8 +114,7 @@ def build_space_parallel(
 
     ``workers`` controls the number of partitions; the pool itself sizes to
     the machine's CPUs and persists across calls (``pool=None`` uses the
-    process-shared pool). ``stats_out``, when given, receives one
-    :class:`PartitionBuildStats` per partition.
+    process-shared pool).
     """
     left_entities = list(left_entities)
     right_entities = list(right_entities)
@@ -157,13 +134,11 @@ def build_space_parallel(
                 right_blob,
                 theta,
                 use_blocking,
-                fast,
                 f"space-build-{index}",
             )
             for index, chunk in enumerate(chunks)
         ]
-        bytes_per_job = [len(job[0]) + len(right_blob) for job in jobs]
-        obs.inc("pool.bytes.shipped", sum(bytes_per_job))
+        obs.inc("pool.bytes.shipped", sum(len(job[0]) + len(right_blob) for job in jobs))
 
     if len(jobs) == 1 or workers == 1:
         # Inline fallback: same codec + scoring body, no process hop.
@@ -175,20 +150,9 @@ def build_space_parallel(
 
     with obs.region("space.build.merge"):
         spaces = []
-        for index, (delta, snapshot, wall_seconds, admitted) in enumerate(results):
-            space = decode_space_delta(delta)
-            spaces.append(space)
+        for delta, snapshot in results:
+            spaces.append(decode_space_delta(delta))
             obs.merge(snapshot)
-            if stats_out is not None:
-                stats_out.append(
-                    PartitionBuildStats(
-                        name=f"space-build-{index}",
-                        pairs_considered=len(chunks[index]) * len(right_entities),
-                        pairs_admitted=admitted,
-                        bytes_shipped=bytes_per_job[index] + len(delta),
-                        wall_seconds=wall_seconds,
-                    )
-                )
         obs.inc("space.build.partitions", len(spaces))
         merged = merge_spaces(spaces)
     return merged

@@ -2,8 +2,8 @@
 
 Operators of a feedback-driven system need to see *why* it explores the way
 it does. These helpers summarize an engine's learned state: which features
-the policy prefers (per state and in aggregate), which features were ruled
-out as non-distinctive, and how the action values are distributed.
+the policy prefers (per state and in aggregate) and which features were
+ruled out as non-distinctive.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.engine import AlexEngine
-from repro.core.state import StateAction, available_actions
 from repro.features.feature_set import FeatureKey
 
 
@@ -114,20 +113,3 @@ def policy_report(engine: AlexEngine) -> PolicyReport:
         episodes_completed=engine.episodes_completed,
         features=summaries,
     )
-
-
-def q_value_table(engine: AlexEngine, limit: int = 20) -> list[tuple[str, str, float, int]]:
-    """The top-|Q| state-action values: (state, action, Q, #returns)."""
-    rows = []
-    for state_action in engine.values.known_pairs():
-        q = engine.values.q(state_action)
-        rows.append(
-            (
-                state_action.state.left.local_name,
-                feature_label(state_action.action),
-                q,
-                len(engine.values.returns(state_action)),
-            )
-        )
-    rows.sort(key=lambda row: (-abs(row[2]), row[0], row[1]))
-    return rows[:limit]

@@ -26,26 +26,6 @@ class StateAction(NamedTuple):
         return f"explore ({p1.local_name}, {p2.local_name}) around {self.state.left.local_name}"
 
 
-class ExplorationAction(NamedTuple):
-    """A fully instantiated action: feature, center score, and step.
-
-    Exploring finds links whose ``feature`` score lies in
-    ``[center − step, center + step]``.
-    """
-
-    feature: FeatureKey
-    center: float
-    step: float
-
-    @property
-    def low(self) -> float:
-        return max(0.0, self.center - self.step)
-
-    @property
-    def high(self) -> float:
-        return min(1.0, self.center + self.step)
-
-
 def available_actions(feature_set: FeatureSet) -> list[FeatureKey]:
     """A(s): one action per feature of the state's feature set, in
     deterministic order."""

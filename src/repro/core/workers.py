@@ -4,8 +4,8 @@ Before this module existed the pool's one caller,
 :func:`~repro.core.parallel_mp.build_space_parallel`, spawned a fresh
 ``ProcessPoolExecutor`` per call, so process start-up and full-object
 pickling dominated the similarity work ALEX actually needs parallelized —
-``BENCH_space.json`` recorded the multi-process build *losing* to the
-single-process fast path. A :class:`WorkerPool` instead spawns its workers
+the multi-process build measured *slower* than the single-process one.
+A :class:`WorkerPool` instead spawns its workers
 once, lazily, and keeps them alive across builds: repeated builds pay no
 respawn cost, and long-lived workers keep their interned term tables and
 score memo caches warm (the same values recur across builds of a churning

@@ -4,8 +4,6 @@ from repro.evaluation.charts import ascii_plot, quality_sparklines, sparkline
 from repro.evaluation.export import (
     tracker_rows,
     tracker_to_csv,
-    tracker_to_json,
-    trackers_to_csv,
     write_csv,
 )
 from repro.evaluation.metrics import Quality, evaluate_links, new_correct_links
@@ -26,7 +24,5 @@ __all__ = [
     "sparkline",
     "tracker_rows",
     "tracker_to_csv",
-    "tracker_to_json",
-    "trackers_to_csv",
     "write_csv",
 ]

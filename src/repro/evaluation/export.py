@@ -1,16 +1,14 @@
-"""Exporting experiment results to CSV and JSON.
+"""Exporting experiment results to CSV.
 
 A reproduction is only useful if its numbers can leave the terminal:
 these helpers serialize a :class:`~repro.evaluation.tracker.QualityTracker`
-(or several, as a labelled family) for external plotting or archival.
+for external plotting or archival.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Mapping
 
 from repro.evaluation.tracker import QualityTracker
 
@@ -60,26 +58,6 @@ def tracker_to_csv(tracker: QualityTracker, label: str | None = None) -> str:
             row = {"label": label, **row}
         writer.writerow(row)
     return buffer.getvalue()
-
-
-def trackers_to_csv(trackers: Mapping[str, QualityTracker]) -> str:
-    """Several labelled trackers as one long-format CSV."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=("label",) + _FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for label, tracker in trackers.items():
-        for row in tracker_rows(tracker):
-            writer.writerow({"label": label, **row})
-    return buffer.getvalue()
-
-
-def tracker_to_json(tracker: QualityTracker, label: str | None = None) -> str:
-    """Render a tracker as a JSON document."""
-    payload: dict = {"episodes": tracker_rows(tracker)}
-    if label is not None:
-        payload["label"] = label
-    payload["ground_truth_count"] = len(tracker.ground_truth)
-    return json.dumps(payload, indent=1, sort_keys=True)
 
 
 def write_csv(tracker: QualityTracker, path: str, label: str | None = None) -> None:

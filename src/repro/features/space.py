@@ -10,7 +10,7 @@ slice, independent of the space size.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro import obs
 from repro.errors import FeatureSpaceError
@@ -63,18 +63,18 @@ class FeatureSpace:
         right: Graph | Iterable[Entity],
         theta: float = DEFAULT_THETA,
         use_blocking: bool = True,
-        fast: bool = True,
         workers: int | None = 1,
     ) -> "FeatureSpace":
         """Build the space between two datasets.
 
         ``use_blocking=False`` scores *every* pair (the naive quadratic
         construction of Section 6.1, kept for the filtering experiment and
-        the blocking ablation). ``fast=True`` (the default) routes scoring
-        through the prepared-entity layer — normalized forms, token sets and
-        typed values computed once per entity, a bounded memo cache on
-        value-pair scores, and θ-aware upper bounds; admitted links and
-        scores are bit-identical to ``fast=False`` (the parity test in
+        the blocking ablation). Scoring runs through the prepared-entity
+        layer — normalized forms, token sets and typed values computed once
+        per entity, a bounded memo cache on value-pair scores, and θ-aware
+        upper bounds. Admitted links and scores are bit-identical to
+        scoring each pair with :func:`~repro.features.feature_set.build_feature_set`,
+        the paper's generic rule (the parity test in
         ``tests/test_perf_fastpath.py`` enforces this). ``workers=N`` (N>1)
         partitions the left entities across processes via
         :func:`repro.core.parallel_mp.build_space_parallel` and merges the
@@ -90,10 +90,9 @@ class FeatureSpace:
                 right_entities,
                 theta=theta,
                 use_blocking=use_blocking,
-                fast=fast,
                 workers=workers,
             )
-        return cls._build_single_process(left_entities, right_entities, theta, use_blocking, fast)
+        return cls._build_single_process(left_entities, right_entities, theta, use_blocking)
 
     @classmethod
     def _build_single_process(
@@ -102,7 +101,6 @@ class FeatureSpace:
         right_entities: list[Entity],
         theta: float,
         use_blocking: bool,
-        fast: bool,
         freeze: bool = True,
     ) -> "FeatureSpace":
         space = cls(theta)
@@ -117,22 +115,18 @@ class FeatureSpace:
             # O(|D1|·|D2|) memory just to attribute ~zero time to blocking
             pairs = ((l, r) for l in left_entities for r in right_entities)
         with obs.region("space.build.score"):
-            if fast:
-                prepared: dict[Entity, PreparedEntity] = {}
-                for left_entity, right_entity in pairs:
-                    prepared_left = prepared.get(left_entity)
-                    if prepared_left is None:
-                        prepared_left = prepare_entity(left_entity)
-                        prepared[left_entity] = prepared_left
-                    prepared_right = prepared.get(right_entity)
-                    if prepared_right is None:
-                        prepared_right = prepare_entity(right_entity)
-                        prepared[right_entity] = prepared_right
-                    space.add_prepared_pair(prepared_left, prepared_right)
-                flush_similarity_stats()
-            else:
-                for left_entity, right_entity in pairs:
-                    space.add_pair(left_entity, right_entity)
+            prepared: dict[Entity, PreparedEntity] = {}
+            for left_entity, right_entity in pairs:
+                prepared_left = prepared.get(left_entity)
+                if prepared_left is None:
+                    prepared_left = prepare_entity(left_entity)
+                    prepared[left_entity] = prepared_left
+                prepared_right = prepared.get(right_entity)
+                if prepared_right is None:
+                    prepared_right = prepare_entity(right_entity)
+                    prepared[right_entity] = prepared_right
+                space.add_prepared_pair(prepared_left, prepared_right)
+            flush_similarity_stats()
         space._total_pairs_considered = len(left_entities) * len(right_entities)
         if freeze:
             with obs.region("space.build.freeze"):

@@ -42,11 +42,9 @@ _NUMERIC_DATATYPES = frozenset(
 _URI_FORBIDDEN = re.compile(r'[<>"{}|^`\\\x00-\x20]')
 
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
 _DOUBLE_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 _DATETIME_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})")
-_GYEAR_RE = re.compile(r"^\d{4}$")
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]+(-[a-zA-Z0-9]+)*$")
 
 
@@ -301,7 +299,6 @@ class Literal(Term):
 def infer_literal(text: str) -> Literal:
     """Build a :class:`Literal` from plain text, inferring an XSD datatype.
 
-    Used by the synthetic dataset generator and Turtle shorthand parsing:
     ``"1984"`` becomes an ``xsd:integer`` literal, ``"1984-12-30"`` an
     ``xsd:date``, ``"true"`` an ``xsd:boolean``, everything else a plain
     string literal.

@@ -43,7 +43,7 @@ from repro.similarity.strings import (
     tokens,
 )
 
-#: Default bound on the value-pair score memo cache (entries, not bytes).
+#: Bound on the value-pair and attribute-pair score memo caches (entries, not bytes).
 DEFAULT_SCORE_CACHE_SIZE = 1 << 18
 
 #: Default bound on the per-term preparation cache.
@@ -165,16 +165,6 @@ _best_cache: dict[tuple[tuple[PreparedTerm, ...], tuple[PreparedTerm, ...], floa
 _best_cache_max = DEFAULT_SCORE_CACHE_SIZE
 
 _stats = {"hits": 0, "misses": 0, "attr_hits": 0, "attr_misses": 0, "skipped": 0}
-
-
-def configure_score_cache(maxsize: int) -> None:
-    """Bound the value-pair and attribute-pair score caches (0 disables)."""
-    global _score_cache_max, _best_cache_max
-    _score_cache_max = _best_cache_max = max(0, int(maxsize))
-    while len(_score_cache) > _score_cache_max:
-        _score_cache.pop(next(iter(_score_cache)))
-    while len(_best_cache) > _best_cache_max:
-        _best_cache.pop(next(iter(_best_cache)))
 
 
 def clear_caches() -> None:
@@ -352,10 +342,9 @@ def _string_score(text_a: PreparedText, text_b: PreparedText, floor: float) -> f
     else:
         jw = _prepared_jaro_winkler(text_a, text_b, prefix)
         score = jw if jw > jaccard else jaccard
-    if _score_cache_max > 0:
-        if len(_score_cache) >= _score_cache_max:
-            _score_cache.pop(next(iter(_score_cache)))
-        _score_cache[key] = score
+    if len(_score_cache) >= _score_cache_max:
+        _score_cache.pop(next(iter(_score_cache)))
+    _score_cache[key] = score
     return score
 
 
@@ -644,8 +633,7 @@ def _best_uncached(
                         break
             if best >= 1.0:
                 break
-    if _best_cache_max > 0:
-        if len(_best_cache) >= _best_cache_max:
-            _best_cache.pop(next(iter(_best_cache)))
-        _best_cache[key] = best
+    if len(_best_cache) >= _best_cache_max:
+        _best_cache.pop(next(iter(_best_cache)))
+    _best_cache[key] = best
     return best

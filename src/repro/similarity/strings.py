@@ -229,28 +229,6 @@ def token_jaccard_upper_bound(a: str, b: str) -> float:
     return token_jaccard_bound_from_sizes(len(set(tokens(a))), len(set(tokens(b))))
 
 
-def levenshtein_upper_bound(a: str, b: str) -> float:
-    """Length-ratio upper bound on :func:`levenshtein_similarity`:
-    edit distance is at least ``|len(a) − len(b)|``."""
-    if not a and not b:
-        return 1.0
-    longest = max(len(a), len(b))
-    return 1.0 - abs(len(a) - len(b)) / longest
-
-
-def string_similarity_upper_bound(a: str, b: str) -> float:
-    """Upper bound on the composite :func:`string_similarity`."""
-    norm_a, norm_b = normalize(a), normalize(b)
-    if norm_a == norm_b:
-        return 1.0
-    if not norm_a or not norm_b:
-        return 0.0
-    return max(
-        jaro_winkler_upper_bound(norm_a, norm_b),
-        token_jaccard_upper_bound(norm_a, norm_b),
-    )
-
-
 def string_similarity(a: str, b: str) -> float:
     """The composite string score used for feature values.
 

@@ -851,35 +851,6 @@ def match_pattern(
                 yield extended
 
 
-def eval_bgp(
-    graph: Graph,
-    bgp: BGP,
-    solutions: Iterable[Solution],
-    optimize: bool = True,
-) -> Iterator[Solution]:
-    """Join a BGP over solution dicts (term-space compatibility surface)."""
-    if optimize and len(bgp.patterns) > 1:
-        from repro.sparql.optimizer import reorder_bgp
-
-        bgp = reorder_bgp(graph, bgp)
-    streams: Iterator[Solution] = iter(solutions)
-    for pattern in bgp.patterns:
-        streams = match_pattern(graph, pattern, streams)
-    return streams
-
-
-def _join_compatible(left: Solution, right: Solution) -> Solution | None:
-    """Merge two solutions; None when they disagree on a shared variable."""
-    merged = dict(left)
-    for var, value in right.items():
-        bound = merged.get(var)
-        if bound is None:
-            merged[var] = value
-        elif bound != value:
-            return None
-    return merged
-
-
 def eval_group(
     graph: Graph,
     group: GroupGraphPattern,

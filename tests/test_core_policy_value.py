@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import ActionValueTable, Episode, EpsilonGreedyPolicy, StateAction
-from repro.core.state import ExplorationAction, available_actions
+from repro.core.state import available_actions
 from repro.errors import PolicyError
 from repro.features.feature_set import FeatureSet
 from repro.links import Link
@@ -146,10 +146,3 @@ class TestStateHelpers:
         fs = FeatureSet({FEATURES[1]: 0.5, FEATURES[0]: 0.9})
         actions = available_actions(fs)
         assert actions == sorted(actions, key=lambda k: (k[0].value, k[1].value))
-
-    def test_exploration_action_bounds(self):
-        action = ExplorationAction(FEATURES[0], center=0.98, step=0.05)
-        assert action.high == 1.0
-        assert action.low == pytest.approx(0.93)
-        low_action = ExplorationAction(FEATURES[0], center=0.02, step=0.05)
-        assert low_action.low == 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AlexConfig, AlexEngine, policy_report, q_value_table
+from repro.core import AlexConfig, AlexEngine, policy_report
 from repro.core.reporting import feature_label
 from repro.features import FeatureSpace
 from repro.feedback import FeedbackSession, GroundTruthOracle
@@ -84,18 +84,3 @@ class TestPolicyReport:
     def test_feature_label(self):
         label = feature_label((LEFT_NAME, RIGHT_NAME))
         assert label == "(name, name)"
-
-
-class TestQValueTable:
-    def test_rows_sorted_by_magnitude(self, trained):
-        rows = q_value_table(trained)
-        magnitudes = [abs(row[2]) for row in rows]
-        assert magnitudes == sorted(magnitudes, reverse=True)
-
-    def test_limit_respected(self, trained):
-        assert len(q_value_table(trained, limit=3)) <= 3
-
-    def test_rows_carry_return_counts(self, trained):
-        for _, _, q, count in q_value_table(trained):
-            assert count >= 1
-            assert -1.0 <= q <= 1.0

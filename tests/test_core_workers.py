@@ -290,19 +290,3 @@ class TestBuildParity:
             for element in task:
                 assert isinstance(element, (bytes, int, float, bool, str)), element
                 assert not isinstance(element, Entity)
-
-    def test_build_stats_recorded(self, pair):
-        left = list(entities_of(pair.left))
-        right = list(entities_of(pair.right))
-        stats = []
-        pool = WorkerPool(2, name="t-stats")
-        try:
-            build_space_parallel(left, right, workers=2, pool=pool, stats_out=stats)
-        finally:
-            pool.shutdown()
-        assert len(stats) == 2
-        assert sum(s.pairs_considered for s in stats) == len(left) * len(right)
-        for s in stats:
-            assert s.bytes_shipped > 0
-            assert s.wall_seconds >= 0.0
-            assert 0 <= s.pairs_admitted <= s.pairs_considered

@@ -1,8 +1,7 @@
-"""Tests for text charts and CSV/JSON export."""
+"""Tests for text charts and CSV export."""
 
 import csv
 import io
-import json
 
 import pytest
 
@@ -14,8 +13,6 @@ from repro.evaluation import (
     sparkline,
     tracker_rows,
     tracker_to_csv,
-    tracker_to_json,
-    trackers_to_csv,
     write_csv,
 )
 from repro.links import Link, LinkSet
@@ -107,18 +104,6 @@ class TestExport:
     def test_csv_with_label(self, tracker):
         text = tracker_to_csv(tracker, label="fig2a")
         assert text.splitlines()[1].startswith("fig2a,")
-
-    def test_multi_tracker_csv(self, tracker):
-        text = trackers_to_csv({"a": tracker, "b": tracker})
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        assert {row["label"] for row in parsed} == {"a", "b"}
-        assert len(parsed) == 4
-
-    def test_json_export(self, tracker):
-        payload = json.loads(tracker_to_json(tracker, label="x"))
-        assert payload["label"] == "x"
-        assert payload["ground_truth_count"] == 2
-        assert len(payload["episodes"]) == 2
 
     def test_write_csv_file(self, tracker, tmp_path):
         path = str(tmp_path / "out.csv")

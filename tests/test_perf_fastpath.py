@@ -2,10 +2,12 @@
 
 The contract under test (docs/performance.md): for every feature the θ-filter
 admits, the prepared/cached/prefiltered/parallel builds produce results
-**bit-identical** to the naive path — same links, same feature keys, same
-float scores. Plus unit coverage for every upper bound (bound ≥ true metric
-on randomized inputs), the cache bookkeeping, the blocking token memo, the
-``links_of_left`` index, and the ``Graph.count`` fast path.
+**bit-identical** to scoring each pair with the paper's generic rule
+(``build_feature_set`` via ``FeatureSpace.add_pair``) — same links, same
+feature keys, same float scores. Plus unit coverage for every upper bound
+(bound ≥ true metric on randomized inputs), the cache bookkeeping, the
+blocking token memo, the ``links_of_left`` index, and the ``Graph.count``
+fast path.
 """
 
 import random
@@ -13,7 +15,6 @@ import random
 import pytest
 
 from repro import obs
-from repro.bench import parity_mismatches, render_report, run_bench
 from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.features import FeatureSpace, blocked_pairs
 from repro.features.blocking import entity_tokens
@@ -25,11 +26,7 @@ from repro.rdf.terms import Literal, URIRef
 from repro.similarity import (
     jaro_winkler_similarity,
     jaro_winkler_upper_bound,
-    levenshtein_similarity,
-    levenshtein_upper_bound,
     normalize,
-    string_similarity,
-    string_similarity_upper_bound,
     token_jaccard_similarity,
     token_jaccard_upper_bound,
 )
@@ -40,7 +37,6 @@ from repro.similarity.prepared import (
     best_prepared_similarity,
     cache_info,
     clear_caches,
-    configure_score_cache,
     prepare_entity,
     prepare_term,
     prepared_object_similarity,
@@ -67,6 +63,21 @@ def _spec(shared=40, seed=5, **overrides):
 def pair_entities():
     pair = generate_pair(_spec())
     return list(entities_of(pair.left)), list(entities_of(pair.right))
+
+
+def parity_mismatches(reference: FeatureSpace, candidate: FeatureSpace) -> int:
+    """Number of links whose presence or feature scores differ.
+
+    Zero means the two spaces are exactly equal: the same admitted links and,
+    for each, bit-identical feature sets.
+    """
+    links_a = set(reference.links())
+    links_b = set(candidate.links())
+    mismatches = len(links_a ^ links_b)
+    for link in links_a & links_b:
+        if reference.feature_set(link) != candidate.feature_set(link):
+            mismatches += 1
+    return mismatches
 
 
 def _random_strings(rng, count, alphabet="abcdefg hi", max_len=14):
@@ -97,26 +108,11 @@ class TestUpperBounds:
             for b in strings[40:]:
                 assert token_jaccard_upper_bound(a, b) >= token_jaccard_similarity(a, b)
 
-    def test_levenshtein_bound_dominates(self):
-        rng = random.Random(17)
-        strings = _random_strings(rng, 60, max_len=10)
-        for a in strings[:30]:
-            for b in strings[30:]:
-                assert levenshtein_upper_bound(a, b) >= levenshtein_similarity(a, b)
-
-    def test_string_similarity_bound_dominates(self):
-        rng = random.Random(19)
-        strings = _random_strings(rng, 60)
-        for a in strings[:30]:
-            for b in strings[30:]:
-                assert string_similarity_upper_bound(a, b) >= string_similarity(a, b)
-
     def test_bounds_handle_empty_inputs(self):
         assert jaro_winkler_upper_bound("", "") == 1.0
         assert jaro_winkler_upper_bound("abc", "") == 0.0
         assert token_jaccard_upper_bound("", "") == 1.0
         assert token_jaccard_upper_bound("a", "") == 0.0
-        assert levenshtein_upper_bound("", "") == 1.0
 
 
 class TestPreparedJaro:
@@ -200,29 +196,36 @@ class TestBuildParity:
     @pytest.mark.parametrize("use_blocking", [True, False])
     def test_fast_build_is_bit_identical(self, pair_entities, use_blocking):
         left, right = pair_entities
-        naive = FeatureSpace.build(left, right, use_blocking=use_blocking, fast=False)
+        naive = FeatureSpace()
+        if use_blocking:
+            pairs = blocked_pairs(left, right)
+        else:
+            pairs = ((l, r) for l in left for r in right)
+        for left_entity, right_entity in pairs:
+            naive.add_pair(left_entity, right_entity)
+        naive.freeze()
         clear_caches()
-        fast = FeatureSpace.build(left, right, use_blocking=use_blocking, fast=True)
+        fast = FeatureSpace.build(left, right, use_blocking=use_blocking)
         assert parity_mismatches(naive, fast) == 0
-        assert naive.total_pairs_considered == fast.total_pairs_considered
+        assert fast.total_pairs_considered == len(left) * len(right)
 
     def test_parallel_build_matches_single_process(self, pair_entities):
         left, right = pair_entities
-        single = FeatureSpace.build(left, right, fast=True)
-        parallel = FeatureSpace.build(left, right, fast=True, workers=2)
+        single = FeatureSpace.build(left, right)
+        parallel = FeatureSpace.build(left, right, workers=2)
         assert parity_mismatches(single, parallel) == 0
         assert single.total_pairs_considered == parallel.total_pairs_considered
 
     def test_parallel_build_is_deterministic(self, pair_entities):
         left, right = pair_entities
-        first = FeatureSpace.build(left, right, fast=True, workers=3)
-        second = FeatureSpace.build(left, right, fast=True, workers=3)
+        first = FeatureSpace.build(left, right, workers=3)
+        second = FeatureSpace.build(left, right, workers=3)
         assert parity_mismatches(first, second) == 0
 
     def test_parallel_build_merges_obs(self, pair_entities):
         left, right = pair_entities
         with obs.use_registry() as registry:
-            FeatureSpace.build(left, right, fast=True, workers=2)
+            FeatureSpace.build(left, right, workers=2)
         snapshot = registry.snapshot()
         assert obs.counter_total(snapshot, "space.build.partitions") == 2
         assert obs.counter_total(snapshot, "space.pairs.admitted") > 0
@@ -241,7 +244,7 @@ class TestBuildObservability:
         left, right = pair_entities
         clear_caches()
         with obs.use_registry() as registry:
-            FeatureSpace.build(left, right, fast=True)
+            FeatureSpace.build(left, right)
         snapshot = registry.snapshot()
         names = {h["name"] for h in snapshot["histograms"]}
         assert {"space.build.block", "space.build.score", "space.build.freeze"} <= names
@@ -267,23 +270,11 @@ class TestCaches:
         assert info["term_entries"] == 1
         assert info["score_max"] > 0
 
-    def test_configure_zero_disables_score_cache(self):
-        clear_caches()
-        configure_score_cache(0)
-        try:
-            a = prepare_term(Literal("LeBron James"))
-            b = prepare_term(Literal("LeBron Raymone James"))
-            first = prepared_object_similarity(a, b)
-            second = prepared_object_similarity(a, b)
-            assert first == second
-            assert cache_info()["score_entries"] == 0
-        finally:
-            configure_score_cache(1 << 18)
-            clear_caches()
+    def test_score_cache_eviction_respects_bound(self, monkeypatch):
+        import repro.similarity.prepared
 
-    def test_score_cache_eviction_respects_bound(self):
         clear_caches()
-        configure_score_cache(4)
+        monkeypatch.setattr(repro.similarity.prepared, "_score_cache_max", 4)
         try:
             for index in range(10):
                 a = prepare_term(Literal(f"alpha beta {index}"))
@@ -291,7 +282,6 @@ class TestCaches:
                 prepared_object_similarity(a, b)
             assert cache_info()["score_entries"] <= 4
         finally:
-            configure_score_cache(1 << 18)
             clear_caches()
 
 
@@ -319,7 +309,7 @@ class TestBlockingMemo:
 class TestLinksOfLeft:
     def test_index_matches_scan(self, pair_entities):
         left, right = pair_entities
-        space = FeatureSpace.build(left, right, fast=True)
+        space = FeatureSpace.build(left, right)
         for link in list(space.links())[:50]:
             assert link in space.links_of_left(link.left)
         some_left = next(iter(space.links())).left
@@ -337,7 +327,7 @@ class TestLinksOfLeft:
 
     def test_old_pickles_without_index_still_work(self, pair_entities):
         left, right = pair_entities
-        space = FeatureSpace.build(left[:10], right[:10], fast=True)
+        space = FeatureSpace.build(left[:10], right[:10])
         del space._by_left  # a space saved before the index existed
         some = [l for l in space.links()]
         if some:
@@ -367,32 +357,3 @@ class TestGraphCountFastPath:
             graph.add((URIRef(f"http://x/s{index}"), p, o))
         estimate = estimate_cardinality(graph, TriplePattern(Var("s"), p, o), set())
         assert estimate == 4.0
-
-
-# --------------------------------------------------------------------- #
-# Bench harness (quick mode)
-# --------------------------------------------------------------------- #
-
-
-class TestBenchHarness:
-    def test_quick_bench_payload_schema_and_parity(self, tmp_path):
-        from repro.bench import write_payload
-
-        payload = run_bench(quick=True)
-        assert payload["format"] == "repro-bench/1"
-        assert payload["parity"]["ok"] is True
-        assert payload["speedup"] is not None and payload["speedup"] > 0
-        modes = {record["mode"] for record in payload["records"]}
-        assert modes == {"naive", "fast"}
-        for record in payload["records"]:
-            assert record["op"] == "space.build"
-            assert record["pairs_considered"] == record["n_left"] * record["n_right"]
-            assert record["wall_seconds"] > 0
-            assert record["space_size"] > 0
-        out = tmp_path / "BENCH_space.json"
-        write_payload(payload, str(out))
-        import json
-
-        assert json.loads(out.read_text())["format"] == "repro-bench/1"
-        report = render_report(payload)
-        assert "parity: OK" in report

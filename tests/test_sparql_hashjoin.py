@@ -2,7 +2,7 @@
 
 The executor in :mod:`repro.sparql.eval` joins integer ID tuples and picks
 hash-join vs index-nested-loop per pattern stage; the reference engine in
-:mod:`repro.sparql.reference` is the preserved pre-1.6 term-space
+``tests/sparql_reference.py`` is the preserved pre-1.6 term-space
 evaluator. For every query the two must produce identical solution
 *multisets* (row order is not part of the contract).
 """
@@ -17,7 +17,7 @@ from repro.rdf.terms import Literal, URIRef, XSD_INTEGER
 from repro.rdf.triples import Triple
 from repro.sparql import Var, prepare, query
 from repro.sparql.explain import explain
-from repro.sparql.reference import ref_evaluate_ask, ref_evaluate_select, ref_query
+from tests.sparql_reference import ref_evaluate_ask, ref_evaluate_select, ref_query
 
 EX = "http://x/"
 PRE = f"PREFIX ex: <{EX}> "
@@ -54,6 +54,8 @@ QUERIES = [
     "SELECT ?a ?b WHERE { ?a ex:knows ?b . ?b ex:knows ?a }",
     "SELECT ?a ?n WHERE { ?a ex:knows ?b . ?b ex:knows ?c . ?c ex:name ?n }",
     "SELECT ?a ?t WHERE { ?a ex:knows ?b . ?a ex:team ?t . ?b ex:team ?t }",
+    "SELECT DISTINCT ?a ?c WHERE { ?a ex:knows ?b . ?b ex:knows ?c }",
+    "SELECT ?a ?b WHERE { ?a ex:knows ?b . ?b ex:knows ?c . ?c ex:knows ?a }",
     # repeated variable inside one pattern (self-loops)
     "SELECT ?x WHERE { ?x ex:knows ?x }",
     "SELECT ?x ?n WHERE { ?x ex:knows ?x . ?x ex:name ?n }",
@@ -61,6 +63,7 @@ QUERIES = [
     "SELECT ?a ?n WHERE { ?a ex:knows ?b OPTIONAL { ?a ex:name ?n } }",
     "SELECT ?a ?n ?g WHERE { ?a ex:team ?t "
     "OPTIONAL { ?a ex:name ?n } OPTIONAL { ?a ex:age ?g FILTER (?g > 40) } }",
+    "SELECT ?a ?n WHERE { ?a ex:knows ?b OPTIONAL { ?b ex:knows ?c . ?c ex:name ?n } }",
     # UNION with different bound masks feeding a later join
     "SELECT ?p ?v WHERE { { ?p ex:name ?v } UNION { ?p ex:age ?v } ?p ex:knows ?q }",
     "SELECT ?a WHERE { { ?a ex:knows ?b } UNION { ?b ex:knows ?a } ?a ex:team ex:team0 }",
@@ -74,6 +77,10 @@ QUERIES = [
     "SELECT ?n WHERE { ?a ex:name ?n . ?a ex:knows ?b } ORDER BY ?n LIMIT 7",
     # aggregation over a join
     "SELECT ?t (COUNT(?a) AS ?c) WHERE { ?a ex:team ?t . ?a ex:knows ?b } GROUP BY ?t",
+    "SELECT ?t (COUNT(?a) AS ?n) WHERE { ?a ex:team ?t . ?a ex:knows ?b } "
+    "GROUP BY ?t ORDER BY ?t",
+    # property path
+    f"SELECT ?x WHERE {{ <{EX}p0> ex:knows+ ?x }}",
 ]
 
 
