@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     health = subparsers.add_parser(
         "health",
         help="run the stats workload to warm the engine, then print its "
-        "health (pool, caches, trace ring, reporter, dictionaries) as JSON",
+        "health (pool, caches, trace ring, slowlog, dictionaries) as JSON",
     )
     health.add_argument(
         "--pair", default="dbpedia_nba_nytimes", help="dataset pair to exercise"
@@ -710,16 +710,11 @@ def _cmd_run(
     return 0
 
 
-def _run_stats_workload(
-    pair_key: str,
-    episodes: int,
-    report_interval: float = 0.0,
-    report_path: str | None = None,
-):
+def _run_stats_workload(pair_key: str, episodes: int):
     """The miniature end-to-end workload behind ``stats``/``health``/
     ``slowlog``: dataset → PARIS → θ-filtered space → feedback episodes →
     local SPARQL → federated SPARQL with sameAs rewriting. Returns the warm
-    ``(engine, pair)`` — the caller owns ``engine.close()``.
+    ``(engine, pair)``.
     """
     from repro.core.config import AlexConfig
     from repro.core.engine import AlexEngine
@@ -733,16 +728,7 @@ def _run_stats_workload(
     pair = load_pair(pair_key)
     initial = paris_links(pair.left, pair.right, score_threshold=0.8)
     space = FeatureSpace.build(pair.left, pair.right)
-    engine = AlexEngine(
-        space,
-        initial,
-        AlexConfig(
-            episode_size=10,
-            seed=7,
-            report_interval=report_interval,
-            report_path=report_path,
-        ),
-    )
+    engine = AlexEngine(space, initial, AlexConfig(episode_size=10, seed=7))
     session = FeedbackSession(engine, GroundTruthOracle(pair.ground_truth), seed=7)
     session.run(episode_size=10, max_episodes=episodes)
 
@@ -812,20 +798,19 @@ def _cmd_stats(
 
         tracer = trace.install(seed=0)
 
+    reporter = None
+    if report_out is not None:
+        # One reporter for the whole command: --watch iterations extend one
+        # series in one file.
+        reporter = obs.Reporter(report_interval, report_out).start()
     rendered = 0
     try:
         while True:
-            engine, _ = _run_stats_workload(
-                pair_key,
-                episodes,
-                report_interval=report_interval if report_out is not None else 0.0,
-                report_path=report_out,
-            )
-            if report_out is not None:
+            _run_stats_workload(pair_key, episodes)
+            if reporter is not None:
                 # Let the reporter take at least two interval samples even
                 # when the workload itself outran the sampling interval.
                 time.sleep(report_interval * 2.2)
-            engine.close()
             print(obs.render(top=top))
             rendered += 1
             if watch is None or (iterations is not None and rendered >= iterations):
@@ -834,16 +819,17 @@ def _cmd_stats(
             print()
     except KeyboardInterrupt:
         pass
+    finally:
+        if reporter is not None:
+            reporter.stop()
 
     if json_path is not None:
         obs.dump_json(json_path)
         print(f"wrote {json_path}")
     if prom_out is not None:
-        exposition = obs.render_prometheus(obs.snapshot())
         with open(prom_out, "w", encoding="utf-8") as handle:
-            handle.write(exposition)
-        samples = obs.validate_exposition(exposition)
-        print(f"wrote {prom_out} ({samples} samples)")
+            handle.write(obs.render_prometheus(obs.snapshot()))
+        print(f"wrote {prom_out}")
     if report_out is not None:
         print(f"wrote {report_out}")
     if tracer is not None:
@@ -860,7 +846,6 @@ def _cmd_health(pair_key: str, episodes: int) -> int:
     when degraded."""
     engine, pair = _run_stats_workload(pair_key, episodes)
     health = engine.health(graphs={"left": pair.left, "right": pair.right})
-    engine.close()
     print(json.dumps(health, indent=2, sort_keys=True))
     return 0 if health["status"] == "ok" else 1
 
@@ -877,8 +862,7 @@ def _cmd_slowlog(
     slog = slowlog.configure(threshold=threshold)
     accounting.enable()
     try:
-        engine, _ = _run_stats_workload(pair_key, episodes)
-        engine.close()
+        _run_stats_workload(pair_key, episodes)
     finally:
         accounting.disable()
         slowlog.disable()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -36,13 +36,6 @@ class AlexConfig:
     distinctiveness_min_negatives: int = 10
     distinctiveness_negative_fraction: float = 0.85
     seed: int = 0
-    #: Sampling interval (seconds) of the background telemetry
-    #: :class:`~repro.obs.Reporter`; 0 (default) disables reporting.
-    #: Both ``report_interval`` > 0 and ``report_path`` must be set for the
-    #: engine to start a reporter (lazily, on first feedback).
-    report_interval: float = 0.0
-    #: JSONL sink the reporter appends interval samples to; None disables.
-    report_path: str | None = None
 
     def __post_init__(self):
         if self.episode_size < 1:
@@ -71,10 +64,6 @@ class AlexConfig:
             raise ConfigError("distinctiveness_min_negatives must be >= 1")
         if not (0.0 < self.distinctiveness_negative_fraction <= 1.0):
             raise ConfigError("distinctiveness_negative_fraction must be in (0, 1]")
-        if self.report_interval < 0.0:
-            raise ConfigError(
-                f"report_interval must be >= 0, got {self.report_interval}"
-            )
 
     def replace(self, **changes) -> "AlexConfig":
         """A copy with some fields changed (dataclasses.replace wrapper)."""

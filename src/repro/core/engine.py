@@ -74,15 +74,6 @@ class AlexEngine:
         self._episode = Episode(index=1)
         self._last_snapshot = self.candidates.snapshot()
         self._unchanged_streak = 0
-
-        #: Background telemetry reporter (see :class:`repro.obs.Reporter`);
-        #: created lazily on the first feedback item when the config sets
-        #: both ``report_interval`` > 0 and ``report_path``.
-        self._reporter = None
-        self._reporting = (
-            config.report_interval > 0 and config.report_path is not None
-        )
-        self._closed = False
         self._episode_started = time.perf_counter()
 
     # ------------------------------------------------------------------ #
@@ -106,57 +97,6 @@ class AlexEngine:
     def owns(self, link: Link) -> bool:
         """Is this engine responsible for feedback on ``link``?"""
         return link in self.candidates or link in self.space
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def reporter(self):
-        """The engine-owned background :class:`~repro.obs.Reporter`, or
-        None when reporting is not configured (the default).
-
-        Lazy: the first call creates and starts the reporter thread;
-        subsequent calls return the same instance. The engine starts it
-        automatically on the first feedback item, and :meth:`close` stops
-        it.
-        """
-        if not self._reporting:
-            return None
-        if self._reporter is None:
-            from repro.obs.report import Reporter
-
-            self._reporter = Reporter(
-                self.config.report_interval, self.config.report_path
-            )
-            self._reporter.start()
-        return self._reporter
-
-    def close(self) -> None:
-        """Release engine resources: stops the background reporter, flushes
-        the slowlog, and shuts down the shared worker pool.
-
-        Idempotent — closing twice (or closing an engine whose reporter
-        never started) is a no-op the second time. Call when the engine
-        (and any partitioned execution it drove) is finished, so test runs
-        and services don't leak worker processes or reporter threads;
-        ``atexit`` covers the forgetful caller.
-        """
-        from repro.core.workers import shutdown_shared_pool
-
-        reporter, self._reporter = self._reporter, None
-        self._reporting = False
-        if reporter is not None:
-            reporter.stop()
-        slog = slowlog.active()
-        if slog is not None:
-            slog.flush()
-        shutdown_shared_pool()
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        """Has :meth:`close` run?"""
-        return self._closed
 
     # ------------------------------------------------------------------ #
     # Pre-flight data validation
@@ -211,8 +151,6 @@ class AlexEngine:
 
     def process_feedback(self, link: Link, positive: bool) -> list[Link]:
         """Apply one feedback item; returns any newly discovered links."""
-        if self._reporting and self._reporter is None:
-            self.reporter()  # lazy start on first feedback
         obs.inc("alex.feedback.processed", verdict="positive" if positive else "negative")
         self._episode.record_feedback(positive)
         self._credit(link, positive)
@@ -482,12 +420,14 @@ class AlexEngine:
 
         Aggregates learner progress, worker-pool liveness (probed without
         spawning processes), cache pressure (plan cache + similarity
-        caches), trace-ring drops, reporter and slowlog state, and — when
-        ``graphs`` (name → :class:`~repro.rdf.graph.Graph`) is passed —
-        dictionary growth per graph. ``status`` is ``"degraded"`` when the
-        pool has fallen back in-process, the trace ring dropped events, or
-        the reporter thread errored; ``"ok"`` otherwise. Read-only: calling
-        it changes no engine or pool state.
+        caches), trace-ring drops, slowlog state, and — when ``graphs``
+        (name → :class:`~repro.rdf.graph.Graph`) is passed — dictionary
+        growth per graph. ``status`` is ``"degraded"`` when the pool has
+        fallen back in-process or the trace ring dropped events; ``"ok"``
+        otherwise. Read-only: calling it changes no engine or pool state.
+        Reporters are not covered: whoever starts a
+        :class:`~repro.obs.Reporter` reads its ``running``,
+        ``samples_written`` and ``last_error``.
         """
         from repro.core.workers import peek_shared_pool
         from repro.similarity.prepared import cache_info
@@ -504,19 +444,6 @@ class AlexEngine:
             payload = tracer.payload()
             trace_health["buffered"] = len(payload["records"])
             trace_health["dropped"] = payload["dropped"]
-
-        reporter = self._reporter
-        reporter_health = {
-            "configured": self._reporting,
-            "running": reporter is not None and reporter.running,
-            "samples_written": reporter.samples_written if reporter is not None else 0,
-            "path": self.config.report_path,
-            "last_error": (
-                repr(reporter.last_error)
-                if reporter is not None and reporter.last_error is not None
-                else None
-            ),
-        }
 
         slog = slowlog.active()
         slowlog_health: dict = {"enabled": slog is not None}
@@ -539,13 +466,11 @@ class AlexEngine:
         degraded = (
             pool_health.get("fallbacks", 0) > 0
             or trace_health.get("dropped", 0) > 0
-            or reporter_health["last_error"] is not None
         )
         return {
             "status": "degraded" if degraded else "ok",
             "engine": {
                 "name": self.name,
-                "closed": self._closed,
                 "episodes": self.episodes_completed,
                 "converged": self.converged,
                 "converged_at": self.converged_at,
@@ -560,7 +485,6 @@ class AlexEngine:
                 "similarity": cache_info(),
             },
             "trace": trace_health,
-            "reporter": reporter_health,
             "slowlog": slowlog_health,
             "dictionaries": dictionaries,
         }

@@ -35,9 +35,12 @@ _REQUIRED_SECTIONS = (
     "config", "candidates", "blacklist", "confirmed", "returns", "policy", "ledger",
 )
 
-#: Config fields that releases before 3.0.0 wrote into every state file and
-#: that :class:`AlexConfig` no longer defines; dropped so those files load.
-_RETIRED_CONFIG_FIELDS = ("pool_workers", "pool_idle_timeout")
+#: Config fields that earlier releases wrote into every state file and that
+#: :class:`AlexConfig` no longer defines; dropped so those files load. 3.0.0
+#: retired the pool fields, 5.0.0 the reporter fields.
+_RETIRED_CONFIG_FIELDS = (
+    "pool_workers", "pool_idle_timeout", "report_interval", "report_path",
+)
 
 
 def _link_to_json(link: Link) -> list[str]:

@@ -17,8 +17,9 @@ Lifecycle discipline — nothing may leak processes out of a test run:
 * **idle timeout** — a daemon timer shuts the executor down after
   ``idle_timeout`` seconds without a batch (workers respawn transparently
   on next use);
-* **atexit + Engine.close()** — the process-shared pool is torn down at
-  interpreter exit and by :meth:`~repro.core.engine.AlexEngine.close`.
+* **atexit + shutdown_shared_pool()** — the process-shared pool is torn
+  down at interpreter exit, or earlier by whoever calls
+  :func:`shutdown_shared_pool`.
 
 Crash robustness: a batch whose worker dies (``BrokenProcessPool``) is
 retried once on a respawned executor; if the executor breaks again the
@@ -323,7 +324,7 @@ def peek_shared_pool() -> WorkerPool | None:
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the shared pool (atexit hook and ``AlexEngine.close``)."""
+    """Tear down the shared pool (also registered with ``atexit``)."""
     global _shared
     with _shared_lock:
         pool = _shared

@@ -1,6 +1,6 @@
 """Link-quality metrics, per-episode tracking, text reporting, and export."""
 
-from repro.evaluation.charts import ascii_plot, quality_sparklines, sparkline
+from repro.evaluation.charts import quality_sparklines, sparkline
 from repro.evaluation.export import (
     tracker_rows,
     tracker_to_csv,
@@ -14,7 +14,6 @@ __all__ = [
     "EpisodeRecord",
     "Quality",
     "QualityTracker",
-    "ascii_plot",
     "evaluate_links",
     "format_table",
     "new_correct_links",

@@ -1,4 +1,4 @@
-"""Plain-text charts: sparklines and line plots for quality curves.
+"""Plain-text charts: sparklines for quality curves.
 
 The benchmark harness prints per-episode tables; these helpers add an
 at-a-glance visual rendering so the figure shape (the reproduction target)
@@ -7,7 +7,7 @@ is visible directly in terminal output, without plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -25,40 +25,6 @@ def sparkline(values: Sequence[float], low: float = 0.0, high: float = 1.0) -> s
         scaled = (min(max(value, low), high) - low) / span
         chars.append(_SPARK_LEVELS[round(scaled * top)])
     return "".join(chars)
-
-
-def ascii_plot(
-    series: Mapping[str, Sequence[float]],
-    height: int = 10,
-    low: float = 0.0,
-    high: float = 1.0,
-) -> str:
-    """A multi-series character plot with a y-axis.
-
-    Each series gets a marker (its label's first letter); collisions render
-    as ``*``. Intended for the 0..1 quality curves of the figures.
-    """
-    if height < 2:
-        raise ValueError("height must be >= 2")
-    width = max((len(values) for values in series.values()), default=0)
-    if width == 0:
-        return "(no data)"
-    span = high - low
-    rows = [[" "] * width for _ in range(height)]
-    for label, values in series.items():
-        marker = (label or "?")[0]
-        for x, value in enumerate(values):
-            scaled = (min(max(value, low), high) - low) / span
-            y = height - 1 - round(scaled * (height - 1))
-            rows[y][x] = "*" if rows[y][x] not in (" ", marker) else marker
-    lines = []
-    for index, row in enumerate(rows):
-        level = high - span * index / (height - 1)
-        lines.append(f"{level:5.2f} |" + "".join(row))
-    lines.append(" " * 6 + "+" + "-" * width)
-    legend = "  ".join(f"{(label or '?')[0]}={label}" for label in series)
-    lines.append(" " * 7 + legend)
-    return "\n".join(lines)
 
 
 def quality_sparklines(

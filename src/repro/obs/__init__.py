@@ -50,7 +50,7 @@ from repro.obs.instruments import (
 from repro.obs.registry import SNAPSHOT_VERSION, Registry, counter_total, load_snapshot
 from repro.obs import accounting, slowlog, trace
 from repro.obs.accounting import QueryStats
-from repro.obs.export import render_prometheus, validate_exposition
+from repro.obs.export import render_prometheus
 from repro.obs.report import REPORT_SCHEMA, Reporter, load_report
 from repro.obs.slowlog import SLOWLOG_SCHEMA, SlowLog
 from repro.obs.trace import TRACE_SCHEMA, Region, Tracer
@@ -95,7 +95,6 @@ __all__ = [
     "snapshot",
     "trace",
     "use_registry",
-    "validate_exposition",
 ]
 
 _default_registry = Registry("default")

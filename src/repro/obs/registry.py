@@ -30,17 +30,19 @@ from repro.obs.instruments import (
 )
 from repro.obs.trace import Tracer
 
-#: Version stamped into every snapshot; bump on schema changes.
-SNAPSHOT_VERSION = 1
+#: Version stamped into every snapshot; bump on schema changes. Version 2
+#: dropped the ``spans`` and ``events`` sections: a snapshot holds
+#: instruments only.
+SNAPSHOT_VERSION = 2
 
 
 class Registry:
     """A namespace of typed instruments.
 
     A registry may additionally carry a :class:`~repro.obs.trace.Tracer`
-    (``self.tracer``, installed via :func:`repro.obs.trace.install`); its
-    buffered events travel in snapshots under the optional ``events`` key
-    and fold across :meth:`merge` like every other section.
+    (``self.tracer``, installed via :func:`repro.obs.trace.install`). Its
+    records stay out of snapshots; they leave the process only through
+    :meth:`~repro.obs.trace.Tracer.write_jsonl`.
     """
 
     def __init__(self, name: str = "default"):
@@ -97,28 +99,20 @@ class Registry:
         """The registry's state as a JSON-serializable dict (see module doc)."""
         with self._lock:
             # Copy under the lock: a concurrent get-or-create must not grow
-            # the dict mid-iteration, and the tracer slot is read once so a
-            # racing uninstall() cannot null it between check and use.
+            # the dict mid-iteration.
             instruments = sorted(self._instruments.items())
-            tracer = self.tracer
         counters, gauges, histograms = [], [], []
         for (_, _), instrument in instruments:
             {"counter": counters, "gauge": gauges, "histogram": histograms}[
                 instrument.kind
             ].append(instrument.snapshot())
-        snapshot = {
+        return {
             "format_version": SNAPSHOT_VERSION,
             "registry": self.name,
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            # Schema v1 field, always empty: timed regions record into
-            # histograms (repro.obs.region), so no span aggregates exist.
-            "spans": [],
         }
-        if tracer is not None and (len(tracer) or tracer.dropped):
-            snapshot["events"] = tracer.payload()
-        return snapshot
 
     def merge(self, snapshot: dict, extra_labels: dict | None = None) -> None:
         """Fold a snapshot (e.g. from a worker process) into this registry.
@@ -156,14 +150,6 @@ class Registry:
                 histogram.max = (
                     entry["max"] if histogram.max is None else max(histogram.max, entry["max"])
                 )
-        events = snapshot.get("events")
-        if events is not None:
-            tracer = self.tracer
-            if tracer is None:
-                # A holder tracer: keeps the merged events exportable without
-                # turning on local recording in a registry that never traced.
-                tracer = self.tracer = Tracer(enabled=False)
-            tracer.absorb(events)
 
     def render(self, top: int | None = None) -> str:
         """Human-readable text dump (the body of ``repro stats``).
@@ -236,12 +222,6 @@ class Registry:
             more = elided("histograms", histograms)
             if more:
                 lines.append(more)
-        if "events" in snapshot:
-            events = snapshot["events"]
-            lines.append(
-                f"trace events: {len(events['records'])} buffered"
-                + (f", {events['dropped']} dropped" if events["dropped"] else "")
-            )
         if len(lines) == 1:
             lines.append("(no instruments recorded)")
         return "\n".join(lines)
@@ -258,7 +238,7 @@ class Registry:
         # The tracer slot is deliberately not lock-guarded state: it is
         # published by trace.install()/uninstall() as an atomic reference
         # assignment and read once into a local by every consumer (see
-        # snapshot/merge), so clearing it outside the lock is safe.
+        # trace.active), so clearing it outside the lock is safe.
         self.tracer = None
 
     def __repr__(self):

@@ -13,12 +13,13 @@ The sink is *bounded*: once more than ``max_samples`` samples exist the
 file is compacted to the header plus the most recent ``max_samples``
 lines, so a long-lived engine can never fill a disk with telemetry.
 
-Ownership: the :class:`~repro.core.engine.AlexEngine` starts a reporter
-lazily when ``AlexConfig(report_interval=..., report_path=...)`` asks for
-one and stops it from :meth:`~repro.core.engine.AlexEngine.close`; an
+Ownership: a reporter belongs to whoever starts it. The caller calls
+:meth:`Reporter.start` and :meth:`Reporter.stop` (``repro stats
+--report-out`` does both around its workload) and reads ``running``,
+``samples_written`` and ``last_error`` itself; no engine starts one. An
 ``atexit`` hook stops any reporter still running at interpreter exit.
 Everything is off by default — no reporter exists, no thread runs, and no
-instrument is created unless a reporter was explicitly configured.
+instrument is created unless a caller starts one.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ analyzer rule). When active, operations whose wall time reaches the
 configured ``threshold`` are recorded — with their
 :class:`~repro.obs.accounting.QueryStats` breakdown when per-query
 accounting is also enabled — into a bounded ring (oldest entries fall
-out), renderable by ``repro slowlog`` and flushed to JSON by
-:meth:`~repro.core.engine.AlexEngine.close`.
+out), renderable by ``repro slowlog`` and written to JSON by
+:meth:`SlowLog.flush` (``repro slowlog --json PATH``).
 """
 
 from __future__ import annotations
@@ -30,20 +30,13 @@ DEFAULT_CAPACITY = 256
 class SlowLog:
     """Threshold + bounded ring of slow-operation entries (thread-safe)."""
 
-    def __init__(
-        self,
-        threshold: float = 0.0,
-        capacity: int = DEFAULT_CAPACITY,
-        path: str | None = None,
-    ):
+    def __init__(self, threshold: float = 0.0, capacity: int = DEFAULT_CAPACITY):
         if threshold < 0:
             raise ObsError(f"slowlog threshold must be >= 0, got {threshold}")
         if capacity < 1:
             raise ObsError(f"slowlog capacity must be >= 1, got {capacity}")
         self.threshold = threshold
         self.capacity = capacity
-        #: Default flush destination (``flush()``); None keeps it in memory.
-        self.path = path
         self._lock = threading.Lock()
         self._entries: deque[dict] = deque(maxlen=capacity)
         self._recorded = 0
@@ -102,18 +95,11 @@ class SlowLog:
                 "entries": [dict(entry) for entry in self._entries],
             }
 
-    def flush(self, path: str | None = None) -> str | None:
-        """Write the payload as JSON to ``path`` (or the configured default).
-
-        A no-op returning None when neither is set — flushing an in-memory
-        slowlog must be safe to call unconditionally (engine close does).
-        """
-        target = path if path is not None else self.path
-        if target is None:
-            return None
-        with open(target, "w", encoding="utf-8") as handle:
+    def flush(self, path: str) -> str:
+        """Write the payload as JSON to ``path``; returns ``path``."""
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_payload(), handle, indent=1, sort_keys=True)
-        return target
+        return path
 
     def render(self, top: int | None = None) -> str:
         """Slowest-first text table of the retained entries."""
@@ -157,18 +143,14 @@ class SlowLog:
 _active: SlowLog | None = None
 
 
-def configure(
-    threshold: float = 0.0,
-    capacity: int = DEFAULT_CAPACITY,
-    path: str | None = None,
-) -> SlowLog:
+def configure(threshold: float = 0.0, capacity: int = DEFAULT_CAPACITY) -> SlowLog:
     """Install (and return) a fresh slowlog; replaces any previous one.
 
     ``threshold=0.0`` records every timed operation — useful for audits;
     raise it to keep only genuinely slow ones.
     """
     global _active
-    _active = SlowLog(threshold=threshold, capacity=capacity, path=path)
+    _active = SlowLog(threshold=threshold, capacity=capacity)
     return _active
 
 

@@ -52,10 +52,10 @@ Composition with :class:`~repro.obs.registry.Registry`
 ------------------------------------------------------
 
 A tracer is *installed on a registry* (``trace.install()`` targets the
-current one). Registry snapshots then carry an ``events`` section, and
-``Registry.merge`` folds incoming events in — so multiprocessing workers
-(:mod:`repro.core.parallel_mp`) ship their audit trails home with their
-metrics.
+current one), so ``obs.use_registry`` scopes tracing along with metrics.
+Registry snapshots hold instruments only: records leave a process through
+:meth:`Tracer.write_jsonl` (``--trace-out``), and ring drops show in
+``AlexEngine.health()["trace"]``.
 """
 
 from __future__ import annotations
@@ -142,19 +142,13 @@ class Region:
 
 
 class Tracer:
-    """A bounded, thread-safe recorder of trace events.
-
-    ``enabled=False`` builds a pure *holder*: it records nothing new but
-    still absorbs and exports — the shape :meth:`Registry.merge` uses to
-    carry worker events in a registry that never traced locally.
-    """
+    """A bounded, thread-safe recorder of trace events."""
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         sample: float = 1.0,
         seed: int | None = None,
-        enabled: bool = True,
     ):
         if capacity < 1:
             raise ObsError(f"tracer capacity must be >= 1, got {capacity}")
@@ -163,7 +157,6 @@ class Tracer:
         self.capacity = capacity
         self.sample = sample
         self.seed = seed
-        self.enabled = enabled
         self.dropped = 0
         self._records: list[dict] = []
         self._start = 0  # ring-buffer head index into _records
@@ -264,8 +257,6 @@ class Tracer:
         so direct engine use still leaves an audit trail; inside an
         *unsampled* trace it is dropped with the rest of the trace.
         """
-        if not self.enabled:
-            return
         stack = self._stack()
         if stack:
             top = stack[-1]
@@ -301,7 +292,7 @@ class Tracer:
             self.dropped = 0
 
     def payload(self) -> dict:
-        """The versioned dict embedded in registry snapshots (``events``)."""
+        """The buffered records and dropped count as one versioned dict."""
         with self._lock:
             # One locked section so the dropped count stays coherent with
             # the record list it was computed against (the lock is not
@@ -312,26 +303,16 @@ class Tracer:
                 "records": self._records[self._start:],
             }
 
-    def absorb(self, payload: dict) -> None:
-        """Fold an exported payload (e.g. a worker's) into this buffer."""
-        if payload.get("schema") != TRACE_SCHEMA:
-            raise ObsError(f"unsupported trace schema: {payload.get('schema')!r}")
-        with self._lock:
-            self.dropped += int(payload.get("dropped", 0))
-        for record in payload.get("records", ()):
-            self._append(record)
-
     def write_jsonl(self, path: str) -> None:
         """Export as JSONL: one header line, then one record per line."""
         payload = self.payload()
         write_jsonl(path, payload["records"], dropped=payload["dropped"])
 
     def __repr__(self):
-        state = "enabled" if self.enabled else "holder"
         with self._lock:
             count = len(self._records) - self._start
             dropped = self.dropped
-        return f"<Tracer {state}: {count} records, {dropped} dropped>"
+        return f"<Tracer: {count} records, {dropped} dropped>"
 
 
 # --------------------------------------------------------------------- #
@@ -412,7 +393,7 @@ def uninstall() -> Tracer | None:
 
 
 def active() -> Tracer | None:
-    """The current registry's tracer when it is recording, else ``None``.
+    """The current registry's tracer, or ``None`` when none is installed.
 
     The one-line guard for hot paths::
 
@@ -420,10 +401,7 @@ def active() -> Tracer | None:
         if tracer is not None:
             tracer.event("alex.link.discover", link=str(link))
     """
-    tracer = _registry().tracer
-    if tracer is not None and tracer.enabled:
-        return tracer
-    return None
+    return _registry().tracer
 
 
 def event(name: str, **attrs) -> None:

@@ -18,7 +18,7 @@ from repro.rdf.namespaces import (
     NamespaceManager,
 )
 from repro.rdf.stats import GraphStatistics, graph_statistics
-from repro.rdf.terms import BNode, Literal, Term, URIRef, infer_literal
+from repro.rdf.terms import BNode, Literal, Term, URIRef
 from repro.rdf.triples import Triple
 from repro.rdf.validate import (
     DataDiagnostic,
@@ -58,7 +58,6 @@ __all__ = [
     "check_links",
     "entities_of",
     "graph_statistics",
-    "infer_literal",
     "validate_dataset",
     "validate_graph",
     "validate_links",

@@ -41,10 +41,6 @@ _NUMERIC_DATATYPES = frozenset(
 
 _URI_FORBIDDEN = re.compile(r'[<>"{}|^`\\\x00-\x20]')
 
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
-_DOUBLE_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_DATETIME_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})")
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]+(-[a-zA-Z0-9]+)*$")
 
 
@@ -294,24 +290,3 @@ class Literal(Term):
 
     def __str__(self):
         return self.lexical
-
-
-def infer_literal(text: str) -> Literal:
-    """Build a :class:`Literal` from plain text, inferring an XSD datatype.
-
-    ``"1984"`` becomes an ``xsd:integer`` literal, ``"1984-12-30"`` an
-    ``xsd:date``, ``"true"`` an ``xsd:boolean``, everything else a plain
-    string literal.
-    """
-    stripped = text.strip()
-    if _INTEGER_RE.match(stripped):
-        return Literal(stripped, datatype=XSD_INTEGER)
-    if _DOUBLE_RE.match(stripped) and any(c in stripped for c in ".eE"):
-        return Literal(stripped, datatype=XSD_DOUBLE)
-    if _DATE_RE.match(stripped):
-        return Literal(stripped, datatype=XSD_DATE)
-    if _DATETIME_RE.match(stripped):
-        return Literal(stripped, datatype=XSD_DATETIME)
-    if stripped in ("true", "false"):
-        return Literal(stripped, datatype=XSD_BOOLEAN)
-    return Literal(text)

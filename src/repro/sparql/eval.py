@@ -1331,21 +1331,6 @@ def _slice_rows(query: SelectQuery, rows: list, records: list | None) -> list:
     return _stage(records, "slice", len(rows), slice_rows)
 
 
-def _aggregate_rows(query: SelectQuery, solutions: list[Solution]) -> list[Solution]:
-    """GROUP BY + aggregate evaluation: one output row per group."""
-    from repro.sparql.aggregates import evaluate_aggregate, group_solutions
-
-    rows: list[Solution] = []
-    for key_bindings, members in group_solutions(solutions, query.group_by):
-        row = dict(key_bindings)
-        for aggregate in query.aggregates:
-            value = evaluate_aggregate(aggregate, members)
-            if value is not None:
-                row[aggregate.alias] = value
-        rows.append(row)
-    return rows
-
-
 def _aggregate_rows_ids(
     query: SelectQuery, codec: _Codec, layout: _Layout, id_rows: list[tuple]
 ) -> list[Solution]:

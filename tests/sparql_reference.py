@@ -9,9 +9,10 @@ It exists for parity testing: property/fuzz tests evaluate random
 queries with both engines and require identical solution multisets
 (``tests/test_sparql_hashjoin.py``).
 
-It shares the expression layer (FILTER/BIND evaluation, ordering keys,
-aggregation) with :mod:`repro.sparql.eval` so the two engines can only
-diverge in the join machinery under test. EXISTS subpatterns delegate to
+It shares the expression layer (FILTER/BIND evaluation, ordering keys)
+with :mod:`repro.sparql.eval`, and grouping and aggregate evaluation with
+:mod:`repro.sparql.aggregates`, so the two engines can only diverge in the
+join machinery under test. EXISTS subpatterns delegate to
 the main engine in both, for the same reason. Not optimized and not
 shipped with the package: it is the test oracle, not the engine.
 """
@@ -36,10 +37,10 @@ from repro.sparql.ast import (
     ValuesClause,
     Var,
 )
+from repro.sparql.aggregates import evaluate_aggregate, group_solutions
 from repro.sparql.eval import (
     QueryResult,
     Solution,
-    _aggregate_rows,
     _as_term,
     _ExpressionError,
     _filter_passes,
@@ -185,6 +186,19 @@ def ref_eval_group(
             if all(_filter_passes(expr, solution, graph) for expr in filters)
         ]
     return solutions
+
+
+def _aggregate_rows(query: SelectQuery, solutions: list[Solution]) -> list[Solution]:
+    """GROUP BY + aggregate evaluation: one output row per group."""
+    rows: list[Solution] = []
+    for key_bindings, members in group_solutions(solutions, query.group_by):
+        row = dict(key_bindings)
+        for aggregate in query.aggregates:
+            value = evaluate_aggregate(aggregate, members)
+            if value is not None:
+                row[aggregate.alias] = value
+        rows.append(row)
+    return rows
 
 
 def ref_evaluate_select(graph: Graph, query: SelectQuery) -> QueryResult:

@@ -442,7 +442,6 @@ class TestHealthCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["status"] in ("ok", "degraded")
-        assert payload["engine"]["closed"] is False
         assert "plan_cache" in payload["caches"]
         assert "left" in payload["dictionaries"]
 
@@ -474,7 +473,7 @@ class TestSlowlogCli:
 
 class TestStatsExports:
     def test_prom_out_writes_valid_exposition(self, capsys, tmp_path):
-        from repro.obs.export import validate_exposition
+        from tests.prometheus_reference import validate_exposition
 
         prom = str(tmp_path / "metrics.prom")
         code, out, _ = run_cli(

@@ -115,6 +115,14 @@ class TestStateValidation:
         old["config"].update(pool_workers=0, pool_idle_timeout=300.0)
         assert AlexEngine.from_dict(space, old).to_dict() == state
 
+    def test_pre_5_0_reporter_fields_are_dropped(self, space, trained_engine, tmp_path):
+        state = trained_engine.to_dict()
+        old = json.loads(json.dumps(state))
+        old["config"].update(report_interval=0.0, report_path=None)
+        path = tmp_path / "engine-4x.json"
+        path.write_text(json.dumps(old))
+        assert AlexEngine.load(space, str(path)).to_dict() == state
+
     @pytest.mark.parametrize(
         "section", ["config", "candidates", "blacklist", "confirmed", "returns", "policy", "ledger"]
     )

@@ -8,7 +8,6 @@ import pytest
 from repro.core.episode import EpisodeStats
 from repro.evaluation import (
     QualityTracker,
-    ascii_plot,
     quality_sparklines,
     sparkline,
     tracker_rows,
@@ -62,29 +61,6 @@ class TestSparkline:
         text = quality_sparklines([0.5], [0.6], [0.55])
         assert text.count("\n") == 2
         assert text.startswith("P ")
-
-
-class TestAsciiPlot:
-    def test_dimensions(self):
-        text = ascii_plot({"f": [0.0, 0.5, 1.0]}, height=5)
-        lines = text.splitlines()
-        assert len(lines) == 5 + 2  # rows + axis + legend
-        assert lines[0].startswith(" 1.00 |")
-
-    def test_markers_use_label_initial(self):
-        text = ascii_plot({"precision": [1.0], "recall": [0.0]}, height=4)
-        assert "p" in text and "r" in text
-
-    def test_collision_marker(self):
-        text = ascii_plot({"alpha": [1.0], "beta": [1.0]}, height=4)
-        assert "*" in text
-
-    def test_empty(self):
-        assert ascii_plot({}) == "(no data)"
-
-    def test_height_validated(self):
-        with pytest.raises(ValueError):
-            ascii_plot({"x": [0.5]}, height=1)
 
 
 class TestExport:

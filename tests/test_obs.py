@@ -169,7 +169,7 @@ class TestSnapshotAndMerge:
         target.merge(loaded)
         restored = target.snapshot()
         original = registry.snapshot()
-        for section in ("counters", "gauges", "histograms", "spans"):
+        for section in ("counters", "gauges", "histograms"):
             assert restored[section] == original[section]
 
     def test_load_snapshot_rejects_non_snapshot(self, tmp_path):

@@ -13,8 +13,8 @@ from repro.obs.export import (
     format_value,
     mangle_name,
     render_prometheus,
-    validate_exposition,
 )
+from tests.prometheus_reference import validate_exposition
 
 
 class TestMangling:

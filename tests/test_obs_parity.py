@@ -11,7 +11,6 @@ import pytest
 
 from repro import obs
 from repro.core import AlexConfig, AlexEngine
-from repro.core.workers import shutdown_shared_pool
 from repro.features import FeatureSpace
 from repro.feedback import FeedbackSession, GroundTruthOracle
 from repro.links import Link, LinkSet
@@ -59,26 +58,16 @@ def graph():
 def run_workload(space, graph, enabled, tmp_path, tag):
     """One seeded feedback + query workload; returns its observable outputs."""
     clear_plan_cache()
-    # every run starts with no shared pool alive: a pool left by an earlier
-    # test would be shut down by this run's engine.close() only, setting
-    # its pool.workers.alive gauge in this run's registry alone
-    shutdown_shared_pool()
     with obs.use_registry(obs.Registry(tag)) as registry:
+        reporter = None
         if enabled:
             accounting.enable()
             slowlog.configure(threshold=0.0)
-        config_changes = {}
-        if enabled:
-            config_changes = {
-                "report_interval": 0.05,
-                "report_path": str(tmp_path / f"{tag}.jsonl"),
-            }
+            reporter = obs.Reporter(0.05, str(tmp_path / f"{tag}.jsonl")).start()
         try:
             truth = LinkSet([link(i, i) for i in range(4)])
             engine = AlexEngine(
-                space,
-                LinkSet([link(0, 0)]),
-                AlexConfig(episode_size=5, seed=1, **config_changes),
+                space, LinkSet([link(0, 0)]), AlexConfig(episode_size=5, seed=1)
             )
             session = FeedbackSession(engine, GroundTruthOracle(truth), seed=3)
             session.run(episode_size=5, max_episodes=3)
@@ -86,8 +75,9 @@ def run_workload(space, graph, enabled, tmp_path, tag):
                 "SELECT ?s ?n WHERE { ?s <http://a/ont/name> ?n } LIMIT 6"
             ).execute(graph).as_tuples()
             candidates = engine.candidates.snapshot()
-            engine.close()
         finally:
+            if reporter is not None:
+                reporter.stop()
             accounting.disable()
             slowlog.disable()
         return candidates, rows, registry.snapshot()
@@ -108,7 +98,7 @@ class TestObservabilityChangesNothing:
                 entry["name"]
                 for section in ("counters", "gauges", "histograms")
                 for entry in snapshot[section]
-            } | {entry["path"] for entry in snapshot["spans"]}
+            }
 
         # The disabled path created no accounting/report/slowlog instruments,
         # and the enabled path created no new aggregate metric names either

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro import obs
-from repro.obs.registry import Registry, counter_total
+from repro.obs.registry import SNAPSHOT_VERSION, Registry, counter_total
 from repro.obs.trace import TRACE_SCHEMA, Tracer
 
 THREADS = 8
 ROUNDS = 200
+#: Seconds a test waits for one of its threads before declaring it hung.
+JOIN_TIMEOUT = 60.0
 
 
 @pytest.fixture(autouse=True)
@@ -36,23 +39,47 @@ def _tight_thread_switching():
         sys.setswitchinterval(previous)
 
 
+def _guard(work, errors):
+    """``work`` wrapped so that whatever it raises lands in ``errors``: an
+    exception escaping a bare thread only warns, it fails no test."""
+    def body():
+        try:
+            work()
+        except BaseException as error:  # noqa: BLE001 - collected for assert
+            errors.append(error)
+    return body
+
+
+def _join(thread):
+    thread.join(timeout=JOIN_TIMEOUT)
+    assert not thread.is_alive(), f"{thread.name} still running"
+
+
 def _run_threads(workers):
     errors = []
-
-    def guard(work):
-        def body():
-            try:
-                work()
-            except BaseException as error:  # noqa: BLE001 - collected for assert
-                errors.append(error)
-        return body
-
-    threads = [threading.Thread(target=guard(work)) for work in workers]
+    threads = [threading.Thread(target=_guard(work, errors)) for work in workers]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        _join(thread)
     assert errors == [], errors
+
+
+@contextmanager
+def _in_background(work):
+    """Run ``work(stop)`` on a guarded thread for the duration of the block,
+    then set ``stop``, join, and re-raise the first error it collected."""
+    stop = threading.Event()
+    errors = []
+    thread = threading.Thread(target=_guard(lambda: work(stop), errors))
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        _join(thread)
+    if errors:
+        raise errors[0]
 
 
 # --------------------------------------------------------------------- #
@@ -66,7 +93,6 @@ def test_snapshot_is_safe_while_instruments_are_created():
     'dictionary changed size during iteration') and every update written
     before the last join must be visible afterwards."""
     registry = Registry("stress")
-    stop = threading.Event()
 
     def writer(index):
         def work():
@@ -74,18 +100,13 @@ def test_snapshot_is_safe_while_instruments_are_created():
                 registry.counter("stress.ops", worker=index, round=round_ % 10).inc()
         return work
 
-    def reader():
+    def reader(stop):
         while not stop.is_set():
             snapshot = registry.snapshot()
-            assert snapshot["format_version"] == 1
+            assert snapshot["format_version"] == SNAPSHOT_VERSION
 
-    reader_thread = threading.Thread(target=reader)
-    reader_thread.start()
-    try:
+    with _in_background(reader):
         _run_threads([writer(index) for index in range(THREADS)])
-    finally:
-        stop.set()
-        reader_thread.join()
     assert counter_total(registry.snapshot(), "stress.ops") == THREADS * ROUNDS
 
 
@@ -124,35 +145,8 @@ def test_merge_of_worker_snapshots_loses_nothing():
     assert counter_total(parent.snapshot(), "merged.ops") == THREADS * ROUNDS
 
 
-def test_snapshot_is_safe_while_tracer_is_swapped():
-    """snapshot() reads the tracer slot exactly once: a concurrent
-    install/uninstall toggling the slot must never make it crash between
-    the None-check and the payload call."""
-    registry = Registry("toggle")
-    registry.counter("toggle.ops").inc()
-    stop = threading.Event()
-
-    def toggler():
-        while not stop.is_set():
-            tracer = Tracer(capacity=4)
-            tracer.event("toggle.event")
-            registry.tracer = tracer
-            registry.tracer = None
-
-    toggle_thread = threading.Thread(target=toggler)
-    toggle_thread.start()
-    try:
-        for _ in range(ROUNDS):
-            snapshot = registry.snapshot()
-            events = snapshot.get("events")
-            assert events is None or events["schema"] == TRACE_SCHEMA
-    finally:
-        stop.set()
-        toggle_thread.join()
-
-
 # --------------------------------------------------------------------- #
-# Tracer: ring buffer, absorb, payload coherence
+# Tracer: ring buffer, payload coherence
 # --------------------------------------------------------------------- #
 
 
@@ -177,21 +171,6 @@ def test_ring_buffer_stays_bounded_under_concurrent_appends():
     assert len(tracer._records) <= 2 * capacity
 
 
-def test_absorb_accumulates_dropped_counts_atomically():
-    """The dropped tally folds under the tracer lock: N racing absorbs of
-    a payload carrying dropped=1 must land exactly N (pre-fix this was a
-    lock-free read-modify-write that lost updates)."""
-    tracer = Tracer(capacity=8, enabled=False)
-    payload = {"schema": TRACE_SCHEMA, "dropped": 1, "records": []}
-
-    def absorber():
-        for _ in range(ROUNDS):
-            tracer.absorb(payload)
-
-    _run_threads([absorber] * THREADS)
-    assert tracer.dropped == THREADS * ROUNDS
-
-
 def test_payload_is_coherent_under_concurrent_appends():
     """payload() assembles records and the dropped count in one locked
     section, so every observed payload satisfies the conservation
@@ -200,26 +179,20 @@ def test_payload_is_coherent_under_concurrent_appends():
     capacity = 32
     tracer = Tracer(capacity=capacity)
     total = THREADS * ROUNDS
-    stop = threading.Event()
 
     def emitter():
         for _ in range(ROUNDS):
             tracer.event("payload.append")
 
-    def auditor():
+    def auditor(stop):
         while not stop.is_set():
             payload = tracer.payload()
             assert payload["schema"] == TRACE_SCHEMA
             assert len(payload["records"]) <= capacity
             assert payload["dropped"] + len(payload["records"]) <= total
 
-    audit_thread = threading.Thread(target=auditor)
-    audit_thread.start()
-    try:
+    with _in_background(auditor):
         _run_threads([emitter] * THREADS)
-    finally:
-        stop.set()
-        audit_thread.join()
     final = tracer.payload()
     assert final["dropped"] + len(final["records"]) == total
 

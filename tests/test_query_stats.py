@@ -174,16 +174,14 @@ class TestSlowLog:
         assert "rows_out=2" in lines[2]
 
     def test_flush_roundtrip(self, tmp_path):
-        log = slowlog.SlowLog()
+        log = slowlog.configure()
         log.record("episode", "alex#1", 0.25, detail={"feedback": 10})
         target = tmp_path / "slow.json"
-        assert log.flush(str(target)) == str(target)
+        # disable() hands the log back with its entries, ready to flush
+        assert slowlog.disable().flush(str(target)) == str(target)
         payload = json.loads(target.read_text())
         assert payload["schema"] == slowlog.SLOWLOG_SCHEMA
         assert payload["entries"][0]["name"] == "alex#1"
-
-    def test_flush_without_target_is_noop(self):
-        assert slowlog.SlowLog().flush() is None
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ObsError):

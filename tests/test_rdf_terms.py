@@ -10,11 +10,8 @@ from repro.rdf.terms import (
     Literal,
     URIRef,
     XSD_BOOLEAN,
-    XSD_DATE,
-    XSD_DATETIME,
     XSD_DOUBLE,
     XSD_INTEGER,
-    infer_literal,
 )
 
 
@@ -134,24 +131,3 @@ class TestLiteral:
     def test_unsupported_type(self):
         with pytest.raises(TermError):
             Literal([1, 2])  # type: ignore[arg-type]
-
-
-class TestInferLiteral:
-    @pytest.mark.parametrize(
-        "text,datatype",
-        [
-            ("1984", XSD_INTEGER),
-            ("-12", XSD_INTEGER),
-            ("3.14", XSD_DOUBLE),
-            ("1e5", XSD_DOUBLE),
-            ("1984-12-30", XSD_DATE),
-            ("2010-01-13T08:30:00", XSD_DATETIME),
-            ("true", XSD_BOOLEAN),
-            ("false", XSD_BOOLEAN),
-        ],
-    )
-    def test_inference(self, text, datatype):
-        assert infer_literal(text).datatype == datatype
-
-    def test_plain_text(self):
-        assert infer_literal("LeBron James").datatype is None

@@ -243,15 +243,13 @@ class TestTracingChangesNothing:
         bare_candidates, bare_snapshot = self.run_engine(space, tracing=False)
         traced_candidates, traced_snapshot = self.run_engine(space, tracing=True)
         assert bare_candidates == traced_candidates
-        assert "events" not in bare_snapshot
-        assert "events" in traced_snapshot
 
         def names(snapshot):
             return {
                 entry["name"]
                 for section in ("counters", "gauges", "histograms")
                 for entry in snapshot[section]
-            } | {entry["path"] for entry in snapshot["spans"]}
+            }
 
         # tracing introduces no aggregate instruments of its own
         assert names(bare_snapshot) == names(traced_snapshot)
